@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import as_float
+from .exactnum import as_float, log_ratio
 from .info import CoefficientSeq, info_fn, tail_set
 from .stepfn import clip_min
 
@@ -79,7 +79,12 @@ def _neg_log2_modulus(sq: Fraction):
             m += 1
         if d == 1:
             return Fraction(m, 2)
-    return -0.5 * math.log2(as_float(sq))
+    return _neg_log2_float(sq)
+
+
+def _neg_log2_float(sq: Fraction) -> float:
+    """-log2 |a| = -0.5 log2(sq) as a float, also for squares below float range."""
+    return -0.5 * log_ratio(sq.numerator, sq.denominator, math.log2)
 
 
 def _beta_block(sq: Fraction):
@@ -148,7 +153,7 @@ def gamma_condition(seq: CoefficientSeq) -> dict:
         if sq == 0:
             zs.append(None)
             continue
-        z = -0.5 * math.log2(as_float(sq))
+        z = _neg_log2_float(sq)
         zs.append(z)
         if z > 2.0:
             imax = max(imax, int(math.ceil(math.log2(z))))
@@ -205,7 +210,7 @@ def sandwich_check(seq: CoefficientSeq) -> dict:
         for sq in seq.squares:
             if sq == 0:
                 continue
-            z = -0.5 * math.log2(as_float(sq))
+            z = _neg_log2_float(sq)
             tot += as_float(sq) * _slice(z, i) ** 2
         gamma_terms[i] = math.sqrt(tot)
     norm_sq = {i: weights.get(i, 0.0) for i in range(1, imax + 1)}
@@ -310,7 +315,7 @@ def measure_criterion(atom_probs) -> dict:
     total = sum(probs, start=Fraction(0))
     if abs(as_float(total) - 1.0) > 1e-9:
         raise ValueError("atom probabilities must sum to 1")
-    hs = [-math.log(as_float(p)) / math.log(3) for p in probs]
+    hs = [-log_ratio(p.numerator, p.denominator) / math.log(3) for p in probs]
     hmax = max(hs)
     terms = {}
     i = 0

@@ -19,9 +19,9 @@ from fractions import Fraction
 import sympy
 
 __all__ = [
-    "is_exact",
     "exact_sqrt",
     "as_float",
+    "log_ratio",
     "num_eq",
     "num_le",
     "num_lt",
@@ -34,15 +34,8 @@ __all__ = [
 ]
 
 _RATIONALS = (int, Fraction)
-
-
-def is_exact(x) -> bool:
-    """True when x is an exact number (rational or closed-form constant)."""
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, _RATIONALS):
-        return True
-    return isinstance(x, sympy.Expr) and x.is_number and not x.has(sympy.Float)
+# value types compared with Python's own operators, before any sympy check
+_PLAIN = frozenset((int, Fraction, float))
 
 
 def _perfect_sqrt(fr: Fraction):
@@ -76,6 +69,19 @@ def as_float(x) -> float:
     if isinstance(x, sympy.Expr):
         return float(x.evalf(30))
     return float(x)
+
+
+def log_ratio(num: int, den: int, log=math.log) -> float:
+    """log(num / den) for positive integers, by ``log`` (math.log, log2, ...).
+
+    Takes the log of the correctly rounded float quotient, as
+    ``log(float(Fraction(num, den)))`` would; where that quotient
+    underflows to 0, the log comes from the integer parts instead.
+    """
+    q = num / den
+    if q:
+        return log(q)
+    return log(num) - log(den)
 
 
 def _to_sympy(x):
@@ -131,15 +137,25 @@ def _compare(a, b) -> int:
     return _sym_sign(_to_sympy(a) - _to_sympy(b))
 
 
+# The comparisons answer int/Fraction/float pairs with Python's operators
+# (which compare these exactly) before any sympy check, and pass every
+# other pair to _compare.
+
 def num_eq(a, b) -> bool:
+    if type(a) in _PLAIN and type(b) in _PLAIN:
+        return a == b
     return _compare(a, b) == 0
 
 
 def num_le(a, b) -> bool:
+    if type(a) in _PLAIN and type(b) in _PLAIN:
+        return a <= b
     return _compare(a, b) <= 0
 
 
 def num_lt(a, b) -> bool:
+    if type(a) in _PLAIN and type(b) in _PLAIN:
+        return a < b
     return _compare(a, b) < 0
 
 

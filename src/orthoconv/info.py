@@ -12,11 +12,13 @@ the classical criteria use.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
-from .exactnum import as_float, format_rational, num_le, parse_rational
-from .stepfn import StepFunction, grid_size, grid_width
+from .exactnum import as_float, format_rational, log_ratio, num_le, parse_rational
+from .stepfn import (StepFunction, format_lattice_point, grid_size, grid_width,
+                     lattice_of)
 
 __all__ = [
     "CoefficientSeq",
@@ -85,61 +87,87 @@ class CoefficientSeq:
     def is_normalized(self, tol=1e-12) -> bool:
         return abs(as_float(self.total) - 1.0) <= tol
 
-    def abs_values(self):
-        """|a_n| as floats (criteria depend on the moduli only)."""
-        return [as_float(s) ** 0.5 for s in self.squares]
-
     def moduli_decreasing(self) -> bool:
         return all(self.squares[i] >= self.squares[i + 1]
                    for i in range(len(self.squares) - 1))
 
 
 class PointSet:
-    """Sorted set of exact rationals in [0,1] containing 0 and 1."""
+    """Sorted set of exact rationals in [0,1] containing 0 and 1.
+
+    Held on the integer lattice of ``stepfn``: a reduced denominator
+    ``den`` and the strictly increasing numerators ``nums``, from 0 to
+    ``den``.  ``points`` gives the Fractions, built on first access.
+    """
 
     def __init__(self, points, closed: bool = False):
         pts = sorted({Fraction(p) for p in points})
         if not pts or pts[0] != ZERO or pts[-1] != ONE:
             raise ValueError("a point set must contain 0 and 1")
-        if pts[0] < ZERO or pts[-1] > ONE:
-            raise ValueError("points must lie in [0,1]")
-        self.points = tuple(pts)
+        den, nums = lattice_of(pts)
+        self._set(den, nums, closed)
+        self._points = tuple(pts)
+
+    @classmethod
+    def from_lattice(cls, den: int, nums, closed: bool = False) -> "PointSet":
+        """Set of n / den for strictly increasing nums from 0 to den, den reduced."""
+        if not nums or nums[0] != 0 or nums[-1] != den:
+            raise ValueError("a point set must contain 0 and 1")
+        obj = cls.__new__(cls)
+        obj._set(den, nums, closed)
+        return obj
+
+    def _set(self, den, nums, closed):
+        self.den = den
+        self.nums = tuple(nums)
         self.closed = closed
+        self._points = None
+
+    @property
+    def points(self):
+        if self._points is None:
+            den = self.den
+            self._points = tuple(Fraction(n, den) for n in self.nums)
+        return self._points
 
     def __len__(self):
-        return len(self.points)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.points)
 
     def __contains__(self, t):
         t = Fraction(t)
-        import bisect
-        i = bisect.bisect_left(self.points, t)
-        return i < len(self.points) and self.points[i] == t
+        n, r = divmod(t.numerator * self.den, t.denominator)
+        if r:
+            return False
+        i = bisect.bisect_left(self.nums, n)
+        return i < len(self.nums) and self.nums[i] == n
 
     def __eq__(self, other):
-        return isinstance(other, PointSet) and self.points == other.points
+        return (isinstance(other, PointSet)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.points)
+        return hash((self.den, self.nums))
 
     def __repr__(self):
-        if len(self.points) <= 8:
+        if len(self.nums) <= 8:
             inner = ", ".join(format_rational(p) for p in self.points)
         else:
             inner = "%s, ..., %s (%d points)" % (
                 format_rational(self.points[0]), format_rational(self.points[-1]),
-                len(self.points))
+                len(self.nums))
         return "PointSet{%s}" % inner
 
     def gaps(self):
         """Consecutive pairs (alpha, beta) with no set point in between."""
-        return [(self.points[i], self.points[i + 1])
-                for i in range(len(self.points) - 1)]
+        pts = self.points
+        return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
     def min_gap(self) -> Fraction:
-        return min(b - a for a, b in self.gaps())
+        nums = self.nums
+        return Fraction(min(b - a for a, b in zip(nums, nums[1:])), self.den)
 
     def union(self, other) -> "PointSet":
         return PointSet(self.points + tuple(Fraction(p) for p in other))
@@ -149,7 +177,8 @@ class PointSet:
         return tuple(p for p in self.points if lo <= p <= hi)
 
     def to_json(self):
-        return [format_rational(p) for p in self.points]
+        den = self.den
+        return [format_lattice_point(n, den) for n in self.nums]
 
     @classmethod
     def from_json(cls, data):
@@ -157,33 +186,40 @@ class PointSet:
 
 
 def tail_set(seq: CoefficientSeq) -> PointSet:
-    """Tail sums of the squared coefficients, plus 0.
+    """Tail sums of the squared coefficients, plus 0, normalized to sum 1.
 
-    Zero coefficients produce duplicate tails; duplicates collapse since
-    the result is a set.  Requires a normalized sequence.
+    The squares go on their common denominator; the tails are then
+    integers over the total, already monotone, and zero coefficients
+    give repeated tails that are kept once.
     """
-    seq = seq.normalized()
-    pts = [ZERO]
-    tail = seq.total
-    for s in seq.squares:
-        pts.append(tail)
-        tail -= s
-    pts.append(tail)  # = 0 for a normalized sequence
-    return PointSet(pts)
+    den, squares = lattice_of(seq.squares)
+    total = sum(squares)
+    if total == 0:
+        raise ValueError("cannot normalize the zero sequence")
+    nums = [0]
+    tail = 0
+    for s in reversed(squares):
+        tail += s
+        if tail != nums[-1]:
+            nums.append(tail)
+    g = math.gcd(*nums)
+    if g > 1:
+        total //= g
+        nums = [n // g for n in nums]
+    return PointSet.from_lattice(total, nums)
 
 
-def _gap_log_value(gap: Fraction, base: int):
-    """-log_base(gap), exact integer when gap is a power of 1/base."""
-    num, den = gap.numerator, gap.denominator
-    if num == 1:
+def _gap_log_value(gap: int, den: int, base: int):
+    """-log_base(gap/den), exact integer when gap/den is a power of 1/base."""
+    if den % gap == 0:
         e = 0
-        d = den
+        d = den // gap
         while d % base == 0:
             d //= base
             e += 1
         if d == 1:
             return e
-    return -math.log(as_float(gap)) / math.log(base)
+    return -log_ratio(gap, den) / math.log(base)
 
 
 def info_fn(B: PointSet, base: int = 3) -> StepFunction:
@@ -195,23 +231,11 @@ def info_fn(B: PointSet, base: int = 3) -> StepFunction:
     """
     if base not in (2, 3):
         raise ValueError("base must be 2 or 3")
-    gaps = B.gaps()
-    exact = all(_is_power_gap(b - a, base) for a, b in gaps)
-    bps, vals = [], []
-    for a, b in gaps:
-        bps.append(b)
-        v = _gap_log_value(b - a, base)
-        vals.append(v if exact else as_float(v))
-    return StepFunction(bps, vals)
-
-
-def _is_power_gap(gap: Fraction, base: int) -> bool:
-    if gap.numerator != 1:
-        return gap == ONE
-    d = gap.denominator
-    while d % base == 0:
-        d //= base
-    return d == 1
+    den, nums = B.den, B.nums
+    vals = [_gap_log_value(b - a, den, base) for a, b in zip(nums, nums[1:])]
+    if not all(type(v) is int for v in vals):
+        vals = [as_float(v) for v in vals]
+    return StepFunction.from_lattice(den, nums[1:], vals)
 
 
 def info_fn_closed(B: PointSet, clip) -> StepFunction:
@@ -230,19 +254,16 @@ def cantor_points(depth: int) -> PointSet:
     """Endpoints of the depth-d middle-thirds construction."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    intervals = [(ZERO, ONE)]
+    # left ends of the surviving intervals, in units of 3**-depth
+    den = 3 ** depth
+    width = den
+    lefts = [0]
     for _ in range(depth):
-        nxt = []
-        for a, b in intervals:
-            third = (b - a) / 3
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        intervals = nxt
-    pts = set()
-    for a, b in intervals:
-        pts.add(a)
-        pts.add(b)
-    return PointSet(pts, closed=True)
+        width //= 3
+        lefts = [x for a in lefts for x in (a, a + 2 * width)]
+    # width is 1 now, so the lattice is reduced
+    return PointSet.from_lattice(den, [x for a in lefts for x in (a, a + width)],
+                                 closed=True)
 
 
 def cantor_info_fn(depth: int, clip) -> StepFunction:
@@ -324,10 +345,10 @@ def is_type_level(h: StepFunction, j: int):
     if not tri:
         return False, "not triadic at (level, cell)=%r" % (witness,)
     size = grid_size(j + 1)
-    for b in h.breakpoints[:-1]:
-        if not _aligned(b, size):
+    for n in h.nums[:-1]:
+        if (n * size) % h.den:
             return False, "not constant on level-%d cells (breakpoint %s)" % (
-                j + 1, format_rational(b))
+                j + 1, format_lattice_point(n, h.den))
     limit = 2 ** (j + 1)
     for v in h.values:
         if num_le(limit, v):

@@ -195,7 +195,7 @@ class OrthoProcess:
         }
 
 
-def gram_check(X: OrthoProcess, exact: bool = True):
+def gram_check(X: OrthoProcess):
     """Largest deviation |  ||X(t)-X(s)||**2 - expected  | over all pairs.
 
     Exact zero is achievable (and asserted in tests) for constructed

@@ -8,6 +8,17 @@ with one value per piece; the last breakpoint is always 1.  The
 left-open / right-closed convention is used uniformly, matching the
 triadic cells (n*w, (n+1)*w] of the grids used throughout.
 
+Breakpoints live on an integer lattice: a function holds one common
+denominator ``den`` and a tuple of strictly increasing integer numerators
+``n_1 < ... < n_m = den``, so that b_k = n_k / den.  The lattice is
+reduced (gcd of ``den`` and all numerators is 1), so equal functions have
+identical representations.  Merging, bisecting, cell indices and lengths
+are integer operations; a binary operation on two denominators rescales
+both to their lcm once.  ``Fraction`` breakpoints are built only at the
+API boundary (:attr:`StepFunction.breakpoints`, on first access).  Point
+sets (``info.PointSet``) share this form, including 0 as numerator 0;
+:func:`lattice_of` and :func:`format_lattice_point` are its helpers.
+
 The conditional L2 norm over the level-i triadic grid (cells of width
 3**-(2**i)) is computed sparsely: runs of cells interior to a single
 piece are emitted as one output piece, so the full grid (3**16 cells at
@@ -18,6 +29,7 @@ to the number of breakpoints, not the number of cells.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 
 from .exactnum import (
@@ -58,6 +70,43 @@ def grid_width(level: int) -> Fraction:
     return Fraction(1, grid_size(level))
 
 
+def lattice_of(points):
+    """(den, numerators) of rationals on their reduced common denominator.
+
+    The lcm of reduced denominators is itself reduced: a prime dividing
+    it divides no numerator of a point whose denominator holds its full
+    power.
+    """
+    den = math.lcm(*(p.denominator for p in points))
+    return den, [p.numerator * (den // p.denominator) for p in points]
+
+
+def format_lattice_point(n: int, den: int) -> str:
+    """``format_rational(Fraction(n, den))`` without building the Fraction."""
+    g = math.gcd(n, den)
+    if g == den:
+        return str(n // g)
+    return "%d/%d" % (n // g, den // g)
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _weighted_sum(terms, den):
+    """Sum of w * Fraction(n, den) over (w, n) in order, from Fraction(0).
+
+    Python's mixed arithmetic throughout, so the result has the type and,
+    for float weights, the rounding of summing those Fractions; a float
+    weight meets n / den, which is float(Fraction(n, den)) (both are
+    correctly rounded), instead of a reduced Fraction.
+    """
+    total = ZERO
+    for w, n in terms:
+        total = total + (w * (n / den) if type(w) is float else w * Fraction(n, den))
+    return total
+
+
 class TriadicAtom:
     """Cell (n*w, (n+1)*w] of the level-i grid, w = 3**-(2**i)."""
 
@@ -96,44 +145,70 @@ class TriadicAtom:
 class StepFunction:
     """Immutable piecewise-constant function on (0,1].
 
-    breakpoints: strictly increasing Fractions in (0,1], last equal to 1.
+    breakpoints: strictly increasing Fractions in (0,1], last equal to 1;
+    held as integer numerators over one reduced denominator (see the
+    module docstring).
     values: one per piece; rationals, floats, or exact sympy constants.
     Adjacent pieces with equal values are merged on construction, so two
     equal functions always have identical representations.
     """
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("den", "nums", "values", "_breakpoints")
 
     def __init__(self, breakpoints, values):
-        bps = [b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints]
+        den, nums = lattice_of(
+            [b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints])
+        self._set(den, nums, values)
+
+    @classmethod
+    def from_lattice(cls, den: int, nums, values) -> "StepFunction":
+        """Function with breakpoints n / den for n in nums (any den > 0)."""
+        f = cls.__new__(cls)
+        f._set(den, nums, values)
+        return f
+
+    def _set(self, den, nums, values):
         vals = list(values)
-        if len(bps) != len(vals):
+        if len(nums) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
-        if not bps:
+        if not nums:
             raise ValueError("a step function needs at least one piece")
-        prev = ZERO
-        for b in bps:
-            if b <= prev:
-                raise ValueError("breakpoints must be strictly increasing in (0,1]")
-            prev = b
-        if bps[-1] != ONE:
-            raise ValueError("last breakpoint must be 1")
         # canonical form: merge adjacent equal values
-        cbps, cvals = [], []
-        for b, v in zip(bps, vals):
+        cnums, cvals = [], []
+        prev = 0
+        for n, v in zip(nums, vals):
+            if n <= prev:
+                raise ValueError("breakpoints must be strictly increasing in (0,1]")
+            prev = n
             if cvals and num_eq(cvals[-1], v):
-                cbps[-1] = b
+                cnums[-1] = n
             else:
-                cbps.append(b)
+                cnums.append(n)
                 cvals.append(v)
-        self.breakpoints = tuple(cbps)
+        if prev != den:
+            raise ValueError("last breakpoint must be 1")
+        g = math.gcd(den, *cnums)
+        if g > 1:
+            den //= g
+            cnums = [n // g for n in cnums]
+        self.den = den
+        self.nums = tuple(cnums)
         self.values = tuple(cvals)
+        self._breakpoints = None
+
+    @property
+    def breakpoints(self):
+        """The breakpoints as Fractions, built on first access."""
+        if self._breakpoints is None:
+            den = self.den
+            self._breakpoints = tuple(Fraction(n, den) for n in self.nums)
+        return self._breakpoints
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def constant(cls, v) -> "StepFunction":
-        return cls((ONE,), (v,))
+        return cls.from_lattice(1, (1,), (v,))
 
     @classmethod
     def indicator(cls, lo, hi, value=1, base=0) -> "StepFunction":
@@ -159,13 +234,9 @@ class StepFunction:
         width defaults to 1/len(cell_values).
         """
         n = len(cell_values)
-        if width is None:
-            width = Fraction(1, n)
-        width = Fraction(width)
-        if width * n != ONE:
+        if width is not None and Fraction(width) * n != ONE:
             raise ValueError("cells must tile (0,1]")
-        bps = [(i + 1) * width for i in range(n)]
-        return cls(bps, cell_values)
+        return cls.from_lattice(n, range(1, n + 1), cell_values)
 
     # -- basic queries -----------------------------------------------
 
@@ -175,11 +246,19 @@ class StepFunction:
             yield lo, b, v
             lo = b
 
+    def _lengths(self):
+        """(value, piece length in units of 1/den) for every piece."""
+        prev = 0
+        for n, v in zip(self.nums, self.values):
+            yield v, n - prev
+            prev = n
+
     def eval(self, t):
         t = Fraction(t)
         if not ZERO < t <= ONE:
             raise ValueError("step functions live on (0,1]")
-        i = bisect.bisect_left(self.breakpoints, t)
+        # first breakpoint n/den >= t, i.e. n >= ceil(t * den)
+        i = bisect.bisect_left(self.nums, _ceil_div(t.numerator * self.den, t.denominator))
         return self.values[i]
 
     __call__ = eval
@@ -202,12 +281,12 @@ class StepFunction:
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return (self.breakpoints == other.breakpoints
+        return (self.den == other.den and self.nums == other.nums
                 and len(self.values) == len(other.values)
                 and all(num_eq(a, b) for a, b in zip(self.values, other.values)))
 
     def __hash__(self):
-        return hash(self.breakpoints)
+        return hash((self.den, self.nums))
 
     def approx_equal(self, other, tol=1e-9) -> bool:
         diff = pointwise(self, other, "-")
@@ -230,16 +309,31 @@ class StepFunction:
 
     def _binary(self, other, op):
         other = _coerce(other)
-        bps = _merge_breakpoints(self.breakpoints, other.breakpoints)
-        vals = []
+        den, a = self.den, self.nums
+        b = other.nums
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            a = _rescale(a, den // self.den)
+            b = _rescale(b, den // other.den)
+        va, vb = self.values, other.values
+        nums, vals = [], []
         ia = ib = 0
-        for b in bps:
-            while self.breakpoints[ia] < b:
+        while True:
+            x, y = a[ia], b[ib]
+            vals.append(op(va[ia], vb[ib]))
+            if x < y:
+                nums.append(x)
                 ia += 1
-            while other.breakpoints[ib] < b:
+            elif y < x:
+                nums.append(y)
                 ib += 1
-            vals.append(op(self.values[ia], other.values[ib]))
-        return StepFunction(bps, vals)
+            else:
+                nums.append(x)
+                if x == den:
+                    break
+                ia += 1
+                ib += 1
+        return StepFunction.from_lattice(den, nums, vals)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -263,7 +357,7 @@ class StepFunction:
         return self.map_values(lambda v: -v)
 
     def map_values(self, fn) -> "StepFunction":
-        return StepFunction(self.breakpoints, [fn(v) for v in self.values])
+        return StepFunction.from_lattice(self.den, self.nums, [fn(v) for v in self.values])
 
     def minimum(self, other) -> "StepFunction":
         return self._binary(_coerce(other), num_min)
@@ -280,14 +374,17 @@ class StepFunction:
 
     def level_set_ge(self, c):
         """Maximal intervals (lo, hi] where f >= c."""
-        out = []
-        for lo, hi, v in self.pieces():
+        runs = []
+        prev = 0
+        for n, v in zip(self.nums, self.values):
             if num_le(c, v):
-                if out and out[-1][1] == lo:
-                    out[-1] = (out[-1][0], hi)
+                if runs and runs[-1][1] == prev:
+                    runs[-1][1] = n
                 else:
-                    out.append((lo, hi))
-        return out
+                    runs.append([prev, n])
+            prev = n
+        den = self.den
+        return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in runs]
 
     def restrict(self, lo, hi) -> "StepFunction":
         """f * 1_{(lo,hi]}: zero outside (lo, hi]."""
@@ -300,50 +397,38 @@ class StepFunction:
         a, b = Fraction(a), Fraction(b)
         if not ZERO <= a < b <= ONE:
             raise ValueError("bad window")
-        w = b - a
-        bps, vals = [], []
-        if a > ZERO:
-            bps.append(a)
+        # on the lattice 1/(scale*den): a -> A*den, breakpoint n -> A*den + W*n
+        scale, (A, B) = lattice_of((a, b))
+        W = B - A
+        den = scale * self.den
+        start = A * self.den
+        nums, vals = [], []
+        if start:
+            nums.append(start)
             vals.append(0)
-        for bp, v in zip(self.breakpoints, self.values):
-            bps.append(a + w * bp)
-            vals.append(v)
-        if b < ONE:
-            bps.append(ONE)
+        nums.extend(start + W * n for n in self.nums)
+        vals.extend(self.values)
+        if nums[-1] < den:
+            nums.append(den)
             vals.append(0)
-        return StepFunction(bps, vals)
+        return StepFunction.from_lattice(den, nums, vals)
 
     # -- integrals and norms ------------------------------------------
 
     def integral(self):
-        total = ZERO
-        for lo, hi, v in self.pieces():
-            total = total + v * (hi - lo)
-        return total
+        return _weighted_sum(self._lengths(), self.den)
 
     def integral_sq(self):
-        total = ZERO
-        for lo, hi, v in self.pieces():
-            total = total + v * v * (hi - lo)
-        return total
+        return _weighted_sum(((v * v, n) for v, n in self._lengths()), self.den)
 
     def integral_sq_between(self, lo, hi):
         """Integral of f**2 over (lo, hi]."""
         lo, hi = Fraction(lo), Fraction(hi)
         if hi <= lo:
             return ZERO
-        total = ZERO
-        i = bisect.bisect_left(self.breakpoints, lo)
-        # piece i covers (prev, breakpoints[i]]; lo sits strictly before its end
-        pos = lo
-        while pos < hi:
-            end = self.breakpoints[i]
-            seg_hi = end if end < hi else hi
-            v = self.values[i]
-            total = total + v * v * (seg_hi - pos)
-            pos = seg_hi
-            i += 1
-        return total
+        scale, (lo_n, hi_n) = lattice_of((lo, hi))
+        return _sq_between(self.nums, self.values, scale, lo_n * self.den,
+                           hi_n * self.den, scale * self.den)
 
     def l2_norm_sq(self):
         return self.integral_sq()
@@ -354,24 +439,16 @@ class StepFunction:
 
     def measure_ge(self, c):
         """Lebesgue measure of the level set (f >= c)."""
-        total = ZERO
-        for lo, hi, v in self.pieces():
-            if num_le(c, v):
-                total += hi - lo
-        return total
+        return Fraction(sum(n for v, n in self._lengths() if num_le(c, v)), self.den)
 
     def measure_gt(self, c):
-        total = ZERO
-        for lo, hi, v in self.pieces():
-            if not num_le(v, c):
-                total += hi - lo
-        return total
+        return Fraction(sum(n for v, n in self._lengths() if not num_le(v, c)), self.den)
 
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> dict:
         return {
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
+            "breakpoints": [format_lattice_point(n, self.den) for n in self.nums],
             "values": [value_to_json(v) for v in self.values],
         }
 
@@ -391,21 +468,25 @@ def _coerce(x) -> StepFunction:
     return StepFunction.constant(x)
 
 
-def _merge_breakpoints(a, b):
-    out = []
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        if ib >= len(b) or (ia < len(a) and a[ia] < b[ib]):
-            nxt = a[ia]
-        else:
-            nxt = b[ib]
-        if not out or out[-1] != nxt:
-            out.append(nxt)
-        while ia < len(a) and a[ia] == nxt:
-            ia += 1
-        while ib < len(b) and b[ib] == nxt:
-            ib += 1
-    return out
+def _rescale(nums, k: int):
+    return nums if k == 1 else [n * k for n in nums]
+
+
+def _sq_between(nums, values, k, lo, hi, den):
+    """Integral of f**2 over (lo/den, hi/den], f's breakpoints at n*k/den."""
+    # piece i covers (nums[i-1], nums[i]]; lo sits strictly before its end,
+    # or at it, which adds a zero-length term (as summing Fractions would)
+    i = bisect.bisect_left(nums, _ceil_div(lo, k))
+    terms = []
+    pos = lo
+    while pos < hi:
+        end = nums[i] * k
+        seg_hi = end if end < hi else hi
+        v = values[i]
+        terms.append((v * v, seg_hi - pos))
+        pos = seg_hi
+        i += 1
+    return _weighted_sum(terms, den)
 
 
 _OPS = {
@@ -446,45 +527,40 @@ def cond_norm(f: StepFunction, level: int, exact: bool = False) -> StepFunction:
         raise ValueError("cond_norm requires a nonnegative function")
     size = grid_size(level)
     width = grid_width(level)
+    # one lattice holding both f and the grid; coarser grids divide it too
+    den = math.lcm(f.den, size)
+    nums = _rescale(f.nums, den // f.den)
+    w = den // size  # cell width in lattice units
 
     # cells containing a breakpoint strictly inside need averaging
     marked = []
-    for b in f.breakpoints[:-1]:
-        num = b.numerator * size
-        if num % b.denominator:
-            idx = num // b.denominator
-            if not marked or marked[-1] != idx:
-                marked.append(idx)
+    for n in nums[:-1]:
+        idx, r = divmod(n, w)
+        if r and (not marked or marked[-1] != idx):
+            marked.append(idx)
 
     cell_rms = {}
     for idx in marked:
-        lo = idx * width
-        hi = lo + width
-        mean = f.integral_sq_between(lo, hi) / width
+        lo = idx * w
+        mean = _sq_between(nums, f.values, 1, lo, lo + w, den) / width
         cell_rms[idx] = exact_sqrt(mean) if exact else as_float(mean) ** 0.5
 
     # cut the function at marked-cell boundaries, then rewrite values
-    cuts = set(f.breakpoints)
+    cuts = set(nums)
     for idx in marked:
-        cuts.add(idx * width)
-        cuts.add((idx + 1) * width)
-    cuts.discard(ZERO)
+        cuts.add(idx * w)
+        cuts.add((idx + 1) * w)
+    cuts.discard(0)
     bps = sorted(cuts)
-    if bps[-1] != ONE:
-        bps.append(ONE)
 
     vals = []
     i = 0
-    lo = ZERO
+    lo = 0
+    two_w = 2 * w
     for b in bps:
-        while f.breakpoints[i] < b:
+        while nums[i] < b:
             i += 1
-        mid_num = (lo + b) / 2
-        cell = (mid_num.numerator * size) // mid_num.denominator
-        if cell in cell_rms:
-            vals.append(cell_rms[cell])
-        else:
-            v = f.values[i]
-            vals.append(v if num_le(0, v) else -v)
+        rms = cell_rms.get((lo + b) // two_w)
+        vals.append(f.values[i] if rms is None else rms)
         lo = b
-    return StepFunction(bps, vals)
+    return StepFunction.from_lattice(den, bps, vals)

@@ -1,6 +1,7 @@
 """Front-door commands: formats, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,40 @@ def test_analyze_single_coefficient(tmp_path):
     assert rep["criteria"]["information"]["alpha1"] == 0
     assert rep["criteria"]["beta"]["sum"] == 0
     assert rep["criteria"]["tandori"]["sum"] == 0
+
+
+def _numbers(x):
+    if isinstance(x, dict):
+        for v in x.values():
+            yield from _numbers(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _numbers(v)
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        yield x
+
+
+def test_analyze_tiny_coefficient_below_float_range(tmp_path):
+    # the square 1e-400 underflows to 0.0 as a float; its logs must not
+    src = tmp_path / "tiny.json"
+    src.write_text('["1", "1e-200"]')
+    out = tmp_path / "rep.json"
+    assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["tail_set"][1] == "1/%d" % (10 ** 400 + 1)
+    assert all(math.isfinite(x) for x in _numbers(rep["criteria"]))
+    # -log2 of the tiny gap, from its integer parts
+    assert rep["information_function"]["max"] == pytest.approx(
+        math.log(10 ** 400 + 1) / math.log(3))
+
+
+def test_measure_tiny_atom_below_float_range(tmp_path):
+    src = tmp_path / "p.json"
+    src.write_text('["1", "1e-400"]')
+    out = tmp_path / "rep.json"
+    assert run_cli(["measure", str(src), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert math.isfinite(rep["criterion_sum"])
 
 
 def test_analyze_empty_file_is_data_error(tmp_path):

@@ -1,5 +1,6 @@
 """Step-function algebra and conditional norms."""
 
+import bisect
 import math
 from fractions import Fraction as F
 
@@ -129,20 +130,40 @@ def test_restrict_and_translate():
     assert t.eval(F(1, 2)) == 1 and t.eval(F(7, 12)) == 0 and t.eval(F(1, 6)) == 0
 
 
+# Denominators: small triadic and mixed ones, and 1000+-bit products of
+# large primes (Mersenne primes) like the common denominators of rational
+# tail sets, also times powers of 3.
+M89, M127, M521, M607, M1279 = (2 ** p - 1 for p in (89, 127, 521, 607, 1279))
+DENOMINATORS = [9, 27, 81, 243, 54, 162, 3 ** 40,
+                M521 * M607, M1279, M89 * M127 * M521 * M607,
+                M521 * M607 * 3 ** 5, M1279 * 3 ** 16, M127 * 3 ** 81]
+
+
 @st.composite
 def breakpoints_01(draw):
-    den = draw(st.sampled_from([9, 27, 81, 243, 54, 162]))
+    den = draw(st.sampled_from(DENOMINATORS))
     num = draw(st.integers(min_value=1, max_value=den - 1))
     return F(num, den)
 
 
+values = st.one_of(
+    st.fractions(min_value=0, max_value=20, max_denominator=64),
+    st.integers(min_value=0, max_value=20),
+    st.floats(min_value=0, max_value=20, allow_nan=False))
+
+
 @st.composite
-def step_functions(draw):
+def raw_step_functions(draw, vals=values):
+    """(breakpoints, values) as plain lists, before canonical merging."""
     bps = sorted(set(draw(st.lists(breakpoints_01(), min_size=0, max_size=8)))
                  | {F(1)})
-    vals = draw(st.lists(st.fractions(min_value=0, max_value=20,
-                                      max_denominator=64),
-                         min_size=len(bps), max_size=len(bps)))
+    return bps, draw(st.lists(vals, min_size=len(bps), max_size=len(bps)))
+
+
+@st.composite
+def step_functions(draw):
+    bps, vals = draw(raw_step_functions(
+        st.fractions(min_value=0, max_value=20, max_denominator=64)))
     return StepFunction(bps, vals)
 
 
@@ -176,3 +197,152 @@ def test_cond_norm_output_measurable(f, level):
     size = grid_size(level)
     for b in g.breakpoints[:-1]:
         assert (b.numerator * size) % b.denominator == 0
+
+
+# -- plain-Fraction oracle ------------------------------------------------
+# A step function is (breakpoints, values) with Fraction breakpoints, run
+# through direct Fraction versions of the library's algorithms.  The
+# integer-lattice implementation must match them, float results bit for
+# bit and value types included.
+
+def o_canon(bps, vals):
+    ob, ov = [], []
+    for b, v in zip(bps, vals):
+        if ov and ov[-1] == v:
+            ob[-1] = b
+        else:
+            ob.append(b)
+            ov.append(v)
+    return ob, ov
+
+
+def o_eval(f, t):
+    return f[1][bisect.bisect_left(f[0], t)]
+
+
+def o_binary(f, g, op):
+    bps = sorted(set(f[0]) | set(g[0]))
+    return o_canon(bps, [op(o_eval(f, b), o_eval(g, b)) for b in bps])
+
+
+def o_integral_sq_between(f, lo, hi):
+    total = F(0)
+    i = bisect.bisect_left(f[0], lo)
+    pos = lo
+    while pos < hi:
+        seg_hi = min(f[0][i], hi)
+        total = total + f[1][i] * f[1][i] * (seg_hi - pos)
+        pos = seg_hi
+        i += 1
+    return total
+
+
+def o_cond_norm(f, level):
+    size = grid_size(level)
+    width = F(1, size)
+    marked = sorted({math.floor(b * size) for b in f[0][:-1]
+                     if (b * size).denominator != 1})
+    rms = {idx: float(o_integral_sq_between(f, idx * width, (idx + 1) * width)
+                      / width) ** 0.5 for idx in marked}
+    cuts = sorted((set(f[0]) | {k * width for idx in marked for k in (idx, idx + 1)})
+                  - {F(0)})
+    vals, lo = [], F(0)
+    for b in cuts:
+        cell = math.floor((lo + b) / 2 * size)
+        vals.append(rms[cell] if cell in rms else o_eval(f, b))
+        lo = b
+    return o_canon(cuts, vals)
+
+
+def o_translate_scale(f, a, b):
+    bps, vals = ([a], [0]) if a > 0 else ([], [])
+    bps += [a + (b - a) * x for x in f[0]]
+    vals += f[1]
+    if b < 1:
+        bps.append(F(1))
+        vals.append(0)
+    return o_canon(bps, vals)
+
+
+def o_indicator(lo, hi):
+    bps = [b for b in (lo, hi, F(1)) if b > 0]
+    vals = ([0] if lo > 0 else []) + [1] + ([0] if hi < 1 else [])
+    return sorted(set(bps)), vals
+
+
+def typed(vals):
+    return [(type(v), v) for v in vals]
+
+
+def same(g, o):
+    """The library function g equals the oracle pair o, value types included."""
+    ob, ov = o
+    return g.breakpoints == tuple(ob) and typed(g.values) == typed(ov)
+
+
+# ties keep the library's choice: min takes a, max takes b
+O_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+         "min": lambda a, b: a if a <= b else b,
+         "max": lambda a, b: b if a <= b else a, "mul": lambda a, b: a * b}
+
+
+@given(raw_step_functions(), raw_step_functions(),
+       st.sampled_from(sorted(O_OPS)))
+@settings(max_examples=150, deadline=None)
+def test_lattice_binary_ops_match_oracle(rf, rg, op):
+    f, g = StepFunction(*rf), StepFunction(*rg)
+    assert same(pointwise(f, g, op), o_binary(o_canon(*rf), o_canon(*rg), O_OPS[op]))
+
+
+@given(raw_step_functions(), breakpoints_01(), breakpoints_01())
+@settings(max_examples=100, deadline=None)
+def test_lattice_restrict_translate_integral_match_oracle(rf, x, y):
+    lo, hi = min(x, y), max(x, y)
+    f, o = StepFunction(*rf), o_canon(*rf)
+    ind = o_indicator(lo, hi) if lo < hi else ([F(1)], [0])
+    assert same(f.restrict(lo, hi), o_binary(o, ind, lambda a, b: a * b))
+    if lo < hi:
+        assert same(f.translate_scale(lo, hi), o_translate_scale(o, lo, hi))
+    # windows starting at a breakpoint begin with a zero-length piece, which
+    # turns an exact sum into a float when that piece holds a float
+    windows = [(lo, hi), (F(0), hi), (lo, F(1)), (F(0), F(1))]
+    windows += [(b, F(1)) for b in o[0][:-1]]
+    for a, b in windows:
+        got, want = f.integral_sq_between(a, b), o_integral_sq_between(o, a, b)
+        assert (type(got), got) == (type(want), want)
+    assert f.integral_sq() == o_integral_sq_between(o, F(0), F(1))
+
+
+@given(raw_step_functions(), st.lists(breakpoints_01(), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_lattice_eval_matches_oracle(rf, ts):
+    f, o = StepFunction(*rf), o_canon(*rf)
+    # also just right of each breakpoint, within one lattice step
+    for t in ts + rf[0] + [b + F(1, 2 * f.den) for b in o[0][:-1]]:
+        assert (type(f.eval(t)), f.eval(t)) == (type(o_eval(o, t)), o_eval(o, t))
+
+
+@given(raw_step_functions(), st.integers(min_value=0, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_lattice_cond_norm_matches_oracle(rf, level):
+    assert same(cond_norm(StepFunction(*rf), level), o_cond_norm(o_canon(*rf), level))
+
+
+@given(raw_step_functions(), st.sampled_from([3, 7, 3 ** 20, M127, M521 * 3 ** 4]),
+       st.lists(breakpoints_01(), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_lattice_canonical_form_is_unique(rf, k, extra):
+    bps, vals = rf
+    f = StepFunction(bps, vals)
+    # the same function on a k times finer lattice
+    den = math.lcm(*(b.denominator for b in bps)) * k
+    g = StepFunction.from_lattice(den, [b.numerator * (den // b.denominator)
+                                        for b in bps], vals)
+    # ... and with extra breakpoints inside pieces, which merging removes
+    split = sorted(set(bps) | set(extra))
+    h = StepFunction(split, [o_eval((bps, vals), b) for b in split])
+    for other in (g, h):
+        assert other == f and hash(other) == hash(f)
+        assert (other.den, other.nums) == (f.den, f.nums)
+    assert math.gcd(f.den, *f.nums) == 1
+    assert f.breakpoints == tuple(o_canon(bps, vals)[0])
