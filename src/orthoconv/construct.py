@@ -24,12 +24,12 @@ of the information function of B.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
-import sympy
-
-from .exactnum import as_float, exact_sqrt, num_eq, num_le, num_lt
+from .exactnum import (RootSum, as_float, exact_sqrt, num_eq, num_le, num_lt,
+                       sqrt_float)
 from .info import PointSet, info_fn, dyadic_floor
 from .ortho import (
     IdAllocator,
@@ -101,9 +101,6 @@ class TernaryContext:
     def digit_indicator(self, l: int, value: int) -> StepFunction:
         n = 3 ** l
         return StepFunction.from_cells([1 if c % 3 == value else 0 for c in range(n)])
-
-    def digit_sum(self) -> StepFunction:
-        return digit_sum_fn(self.k)
 
     def hat_of_digit(self, l: int, shift: int) -> StepFunction:
         """hat(digit_l - shift) as a step function."""
@@ -288,14 +285,16 @@ class ComplexityCert:
     """Carrier set with an achieved maximal-function threshold.
 
     intervals: disjoint closed intervals (lo, hi) with endpoints in B.
-    y: the certified threshold gain (exact, possibly a radical); eps is
-    the nominal failure fraction carried by the combination rules, kept
-    for reporting only -- verification always measures the achieved
-    failure exactly.
+    y_sq: the square of the certified threshold gain y >= 0, exact in a
+    multiquadratic field (``merge`` takes y = sqrt(sum y_l**2), which
+    may lie outside it); thresholds are compared by their squares, and
+    :attr:`y` is the root itself.  eps is the nominal failure fraction
+    carried by the combination rules, kept for reporting only --
+    verification always measures the achieved failure exactly.
     """
 
-    def __init__(self, B: PointSet, intervals, y, eps, kind, builder,
-                 children=()):
+    def __init__(self, B: PointSet, intervals, y_sq, eps, kind, builder,
+                 children=(), y=None):
         raw = sorted((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
         for (l1, h1), (l2, h2) in zip(raw, raw[1:]):
             if h1 > l2:
@@ -312,7 +311,8 @@ class ComplexityCert:
                 ivs.append((lo, hi))
         self.B = B
         self.intervals = tuple(ivs)
-        self.y = sympy.sympify(y) if not isinstance(y, (int, Fraction)) else y
+        self.y_sq = y_sq
+        self._y = y
         self.eps = eps
         self.kind = kind
         self._builder = builder
@@ -323,9 +323,12 @@ class ComplexityCert:
         return sum((hi - lo for lo, hi in self.intervals), start=ZERO)
 
     @property
-    def y_squared(self):
-        y2 = sympy.expand(sympy.sympify(self.y) ** 2)
-        return y2
+    def y(self):
+        """The threshold sqrt(y_sq); raises ValueError where that root
+        lies outside every multiquadratic field (see ``exact_sqrt``)."""
+        if self._y is None:
+            self._y = exact_sqrt(self.y_sq)
+        return self._y
 
     def times(self):
         pts = set()
@@ -360,16 +363,21 @@ class ComplexityCert:
             report["gram_deviation"] = gram_check(X)
         if b > a:
             w = b - a
-            threshold = sympy.sympify(self.y) / exact_sqrt(w)
             m = maximal_function(X)
-            good = m.restrict(a, b).measure_ge(threshold) if a > ZERO or b < ONE \
-                else m.measure_ge(threshold)
+            good = _measure_ge_root(m.restrict(a, b) if a > ZERO or b < ONE else m,
+                                    self.y_sq, w)
             report["window"] = (a, b)
-            report["threshold"] = as_float(threshold)
+            report["threshold"] = sqrt_float(self.y_sq / w)
             report["good_measure"] = good
             report["achieved_eps"] = as_float((w - good) / w)
             report["nominal_eps"] = self.eps
         return report
+
+
+def _measure_ge_root(f: StepFunction, y_sq, w=ONE) -> Fraction:
+    """Measure of (f >= sqrt(y_sq / w)), decided on squares:
+    v >= 0 and v**2 * w >= y_sq."""
+    return f.measure_where(lambda v: num_le(0, v) and num_le(y_sq, v * v * w))
 
 
 def _membership_ok(v: OrthoVector, a, b, chi: OrthoVector) -> bool:
@@ -404,7 +412,7 @@ def trivial_cert(B: PointSet, lo, hi) -> ComplexityCert:
             vectors[pts[r + 1]] = acc
         return vectors
 
-    return ComplexityCert(B, [(lo, hi)], 0, None, "trivial", build)
+    return ComplexityCert(B, [(lo, hi)], ZERO, None, "trivial", build, y=ZERO)
 
 
 def grid_cert(B: PointSet, lo, hi, k: int) -> ComplexityCert:
@@ -450,9 +458,8 @@ def grid_cert(B: PointSet, lo, hi, k: int) -> ComplexityCert:
         vectors[grid[-1]] = acc
         return vectors
 
-    y = 4 * k * exact_sqrt(length)
-    return ComplexityCert(B, [(lo, hi)], y, math.exp(-k / 144.0),
-                          "grid[k=%d]" % k, build)
+    return ComplexityCert(B, [(lo, hi)], 16 * k * k * length, math.exp(-k / 144.0),
+                          "grid[k=%d]" % k, build, y=4 * k * exact_sqrt(length))
 
 
 def example_process(k: int, chi: OrthoVector, window=(ZERO, ONE),
@@ -474,20 +481,14 @@ def example_process(k: int, chi: OrthoVector, window=(ZERO, ONE),
 def _rationalize_ratios(ratios, denom_pow: int = 24):
     """Exact rational under-approximations of window ratios.
 
-    Exactly rational ratios pass through; irrational ones are floored to
-    a multiple of 3**-denom_pow so breakpoints stay rational, with the
-    lost sliver booked as unused window (it can only increase the
-    recorded failure, never fake success).
+    Rational ratios pass through; irrational ones (field elements) are
+    floored to a multiple of 3**-denom_pow so breakpoints stay rational,
+    with the lost sliver booked as unused window (it can only increase
+    the recorded failure, never fake success).
     """
-    out = []
     scale = 3 ** denom_pow
-    for r in ratios:
-        r = sympy.nsimplify(r)
-        if r.is_rational:
-            out.append(Fraction(int(r.p), int(r.q)))
-        else:
-            out.append(Fraction(int(sympy.floor(r * scale)), scale))
-    return out
+    return [Fraction(math.floor(r * scale), scale) if type(r) is RootSum else Fraction(r)
+            for r in ratios]
 
 
 def merge(certs, B: PointSet = None) -> ComplexityCert:
@@ -506,8 +507,7 @@ def merge(certs, B: PointSet = None) -> ComplexityCert:
     if B is None:
         B = certs[0].B
     intervals = [iv for c in certs for iv in c.intervals]
-    y2 = sympy.expand(sum(sympy.sympify(c.y) ** 2 for c in certs))
-    y = sympy.sqrt(y2)
+    y_sq = sum((c.y_sq for c in certs), start=ZERO)
     eps = None
     for c in certs:
         if c.eps is not None:
@@ -519,10 +519,9 @@ def merge(certs, B: PointSet = None) -> ComplexityCert:
         chis = householder_family(chi, alphas, alloc)
         w = b - a
         positive = [i for i, c in enumerate(certs)
-                    if not num_eq(c.y, 0)] if w > 0 else []
-        if positive and w > 0:
-            ratios = [sympy.sympify(certs[i].y) ** 2 / y2 for i in positive]
-            fracs = _rationalize_ratios(ratios)
+                    if not num_eq(c.y_sq, 0)] if w > 0 else []
+        if positive:
+            fracs = _rationalize_ratios([certs[i].y_sq / y_sq for i in positive])
         windows = {}
         pos = a
         for idx, i in enumerate(positive):
@@ -545,11 +544,10 @@ def merge(certs, B: PointSet = None) -> ComplexityCert:
             vectors[t] = acc
         return vectors
 
-    return ComplexityCert(B, intervals, y, eps, "merge", build, children=certs)
+    return ComplexityCert(B, intervals, y_sq, eps, "merge", build, children=certs)
 
 
 def _last_time_leq(times, t):
-    import bisect
     i = bisect.bisect_right(times, t)
     return times[i - 1] if i else None
 
@@ -585,12 +583,11 @@ def nest(k: int, sub_certs, B: PointSet = None) -> ComplexityCert:
             raise ValueError("carriers must share a common length")
     order = sorted(range(len(sub_certs)), key=lambda i: ivs[i])
     measure = eta * 3 ** k
-    y_min = sub_certs[0].y
+    low = sub_certs[0]
     for c in sub_certs[1:]:
-        if num_lt(sympy.sympify(c.y), sympy.sympify(y_min)):
-            y_min = c.y
-    y_out = sympy.expand(3 ** sympy.Rational(k, 2) * sympy.sympify(y_min)
-                         + 4 * k * exact_sqrt(3 ** k * eta))
+        if num_lt(c.y_sq, low.y_sq):
+            low = c
+    y_out = exact_sqrt(3 ** k) * low.y + 4 * k * exact_sqrt(3 ** k * eta)
     eps_children = [c.eps for c in sub_certs if c.eps is not None]
     eps = (max(eps_children) if eps_children else 0.0) + math.exp(-k / 144.0)
 
@@ -615,8 +612,8 @@ def nest(k: int, sub_certs, B: PointSet = None) -> ComplexityCert:
             acc = acc + fam[pos]
         return vectors
 
-    return ComplexityCert(B, ivs_sorted, y_out, eps, "nest[k=%d]" % k, build,
-                          children=sub_certs)
+    return ComplexityCert(B, ivs_sorted, y_out * y_out, eps, "nest[k=%d]" % k, build,
+                          children=sub_certs, y=y_out)
 
 
 def corollary_union(certs, h: StepFunction, B: PointSet = None) -> ComplexityCert:
@@ -628,7 +625,7 @@ def corollary_union(certs, h: StepFunction, B: PointSet = None) -> ComplexityCer
     for c in certs:
         want_sq = sum((h.restrict(lo, hi).integral_sq() for lo, hi in c.intervals),
                       start=ZERO)
-        if not num_eq(sympy.expand(sympy.sympify(c.y) ** 2), want_sq):
+        if not num_eq(c.y_sq, want_sq):
             raise ValueError("threshold does not match ||h|| on a part")
     return merge(certs, B)
 
@@ -642,14 +639,13 @@ def corollary_equal_blocks(k: int, certs, level_value, B: PointSet = None):
     """
     certs = list(certs)
     eta = certs[0].intervals[0][1] - certs[0].intervals[0][0]
-    want = sympy.expand(sympy.sympify(level_value) * exact_sqrt(eta))
+    want = level_value * exact_sqrt(eta)
     for c in certs:
-        if not num_eq(sympy.sympify(c.y), want):
+        if not num_eq(c.y, want):
             raise ValueError("parts must share the constant-excess threshold")
     out = nest(k, certs, B)
-    target = sympy.expand((sympy.sympify(level_value) + 4 * k)
-                          * exact_sqrt(eta * 3 ** k))
-    if not num_eq(sympy.sympify(out.y), target):
+    target = (level_value + 4 * k) * exact_sqrt(eta * 3 ** k)
+    if not num_eq(out.y, target):
         raise AssertionError("nested threshold mismatch: %s vs %s"
                              % (out.y, target))
     return out
@@ -761,10 +757,10 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None,
             candidates.append(("single", certs[0]))
         best_name, best = candidates[0]
         for name, c in candidates[1:]:
-            if num_lt(sympy.sympify(best.y), sympy.sympify(c.y)):
+            if num_lt(best.y_sq, c.y_sq):
                 best_name, best = name, c
         steps.append({"cell": (str(lo), str(hi)), "choice": best_name,
-                      "y": as_float(best.y)})
+                      "y": sqrt_float(best.y_sq)})
         return best
 
     top = cert_for(0, ZERO, ONE)
@@ -776,8 +772,8 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None,
         "cert": top,
         "report": report,
         "steps": steps,
-        "achieved_y": as_float(top.y),
-        "exceedance_at_achieved_y": m.measure_ge(sympy.sympify(top.y)),
+        "achieved_y": sqrt_float(top.y_sq),
+        "exceedance_at_achieved_y": _measure_ge_root(m, top.y_sq),
     }
     if y_target is not None:
         out["y_target"] = as_float(y_target)

@@ -20,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exactnum import as_float, exact_sqrt, num_eq, num_le, num_lt, num_max
+from .exactnum import as_float, exact_sqrt, num_eq, num_le, num_max
 from .info import PointSet
 from .stepfn import StepFunction, grid_size, grid_width
 
@@ -98,7 +98,7 @@ class OrthoVector:
         return self * -1
 
     def inner(self, other):
-        total = (self.body * other.body).integral()
+        total = self.body.inner(other.body)
         for i, c in self.ext.items():
             if i in other.ext:
                 total = total + c * other.ext[i]
@@ -179,8 +179,7 @@ class OrthoProcess:
         """Rescale a simple process to unit increments (divide by 24 sqrt 3)."""
         if self.mode == "unit":
             return self
-        import sympy
-        factor = 1 / (24 * sympy.sqrt(3))
+        factor = 1 / (24 * exact_sqrt(3))
         out = OrthoProcess(self.times,
                            {t: self.vectors[t] * factor for t in self.times},
                            mode="unit", carrier=self.carrier)
@@ -199,26 +198,17 @@ def gram_check(X: OrthoProcess):
     """Largest deviation |  ||X(t)-X(s)||**2 - expected  | over all pairs.
 
     Exact zero is achievable (and asserted in tests) for constructed
-    processes; returns the deviation as an exact number when possible.
+    processes; returns the deviation as an exact number when possible
+    (the Fraction 0 when every pair matches).
     """
-    import sympy
     worst = ZERO
     ts = X.times
     for i in range(len(ts)):
         for k in range(i + 1, len(ts)):
             d = X.vectors[ts[k]] - X.vectors[ts[i]]
-            got = d.norm_sq()
-            want = X.expected_increment_sq(ts[i], ts[k])
-            dev = got - want
-            if isinstance(dev, sympy.Expr):
-                # signs decided by exactnum, not by sympy's assumptions
-                if num_eq(dev, 0):
-                    dev = ZERO
-                elif num_lt(dev, 0):
-                    dev = -dev
-            else:
-                dev = abs(dev)
-            worst = num_max(worst, dev)
+            dev = d.norm_sq() - X.expected_increment_sq(ts[i], ts[k])
+            if not num_eq(dev, 0):
+                worst = num_max(worst, dev if num_le(0, dev) else -dev)
     return worst
 
 
@@ -228,8 +218,8 @@ def maximal_function(X: OrthoProcess, subset=None, absolute: bool = False,
 
     ``subset`` restricts the times; ``baseline`` subtracts a fixed vector
     first.  External coordinates do not enter (they live off [0,1) under
-    the representation contract); use :func:`m_norm` where their
-    contribution to the L2 norm of the maximum matters.
+    the representation contract); :func:`m_grid` adds their contribution
+    to the L2 norm of the maximum.
     """
     times = X.times if subset is None else [t for t in X.times if t in subset]
     if not times:
@@ -258,28 +248,6 @@ def _max_abs_ext(vectors) -> dict:
             if i not in out or num_le(out[i], a):
                 out[i] = a
     return out
-
-
-def m_norm_sq(X: OrthoProcess, subset=None, baseline=None):
-    """Squared L2 norm of max over time of |X(t) - baseline| as a function.
-
-    Includes the external coordinates: with disjointly supported unit
-    realizations, the maximum over the support of e_i contributes
-    max_t |coeff_i|**2 regardless of the realization chosen.
-    """
-    times = X.times if subset is None else [t for t in X.times if t in subset]
-    if not times:
-        return ZERO
-    diffs = [(X.vectors[t] - baseline if baseline is not None else X.vectors[t])
-             for t in times]
-    body_max = None
-    for d in diffs:
-        b = d.body.abs()
-        body_max = b if body_max is None else body_max.maximum(b)
-    total = body_max.integral_sq()
-    for i, a in _max_abs_ext(diffs).items():
-        total = total + a * a
-    return total
 
 
 def menshov_bound_check(vectors, tol: float = 1e-9):

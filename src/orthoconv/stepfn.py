@@ -99,8 +99,14 @@ def _weighted_sum(terms, den):
     Python's mixed arithmetic throughout, so the result has the type and,
     for float weights, the rounding of summing those Fractions; a float
     weight meets n / den, which is float(Fraction(n, den)) (both are
-    correctly rounded), instead of a reduced Fraction.
+    correctly rounded), instead of a reduced Fraction.  Rational weights
+    only: one Fraction over the lcm of their denominators, the same value.
     """
+    terms = list(terms)
+    if all(type(w) is int or type(w) is Fraction for w, _ in terms):
+        lcm = math.lcm(*(w.denominator for w, _ in terms))
+        return Fraction(sum(w.numerator * (lcm // w.denominator) * n for w, n in terms),
+                        lcm * den)
     total = ZERO
     for w, n in terms:
         total = total + (w * (n / den) if type(w) is float else w * Fraction(n, den))
@@ -148,7 +154,8 @@ class StepFunction:
     breakpoints: strictly increasing Fractions in (0,1], last equal to 1;
     held as integer numerators over one reduced denominator (see the
     module docstring).
-    values: one per piece; rationals, floats, or exact sympy constants.
+    values: one per piece; rationals, floats, ``exactnum.RootSum`` field
+    elements, or exact sympy constants.
     Adjacent pieces with equal values are merged on construction, so two
     equal functions always have identical representations.
     """
@@ -307,14 +314,19 @@ class StepFunction:
 
     # -- algebra -----------------------------------------------------
 
-    def _binary(self, other, op):
-        other = _coerce(other)
+    def _common_lattice(self, other):
+        """(den, nums of self, nums of other) on one lattice."""
         den, a = self.den, self.nums
         b = other.nums
         if other.den != den:
             den = math.lcm(den, other.den)
             a = _rescale(a, den // self.den)
             b = _rescale(b, den // other.den)
+        return den, a, b
+
+    def _binary(self, other, op):
+        other = _coerce(other)
+        den, a, b = self._common_lattice(other)
         va, vb = self.values, other.values
         nums, vals = [], []
         ia = ib = 0
@@ -418,6 +430,41 @@ class StepFunction:
     def integral(self):
         return _weighted_sum(self._lengths(), self.den)
 
+    def inner(self, other: "StepFunction"):
+        """Integral of self * other, the value and type of
+        ``(self * other).integral()``, in one pass without building the
+        product: runs of equal products are summed as the one piece the
+        product's canonical form would hold, so float sums round alike.
+        """
+        den, a, b = self._common_lattice(other)
+        va, vb = self.values, other.values
+        terms = []
+        run_v = None
+        run_lo = prev = 0
+        ia = ib = 0
+        while True:
+            x, y = a[ia], b[ib]
+            v = va[ia] * vb[ib]
+            if run_v is None:
+                run_v = v
+            elif not num_eq(run_v, v):
+                terms.append((run_v, prev - run_lo))
+                run_v, run_lo = v, prev
+            if x < y:
+                prev = x
+                ia += 1
+            elif y < x:
+                prev = y
+                ib += 1
+            else:
+                prev = x
+                if x == den:
+                    break
+                ia += 1
+                ib += 1
+        terms.append((run_v, den - run_lo))
+        return _weighted_sum(terms, den)
+
     def integral_sq(self):
         return _weighted_sum(((v * v, n) for v, n in self._lengths()), self.den)
 
@@ -437,12 +484,16 @@ class StepFunction:
         s = self.integral_sq()
         return exact_sqrt(s) if exact else as_float(s) ** 0.5
 
+    def measure_where(self, pred):
+        """Lebesgue measure of the set where pred(value) holds."""
+        return Fraction(sum(n for v, n in self._lengths() if pred(v)), self.den)
+
     def measure_ge(self, c):
         """Lebesgue measure of the level set (f >= c)."""
-        return Fraction(sum(n for v, n in self._lengths() if num_le(c, v)), self.den)
+        return self.measure_where(lambda v: num_le(c, v))
 
     def measure_gt(self, c):
-        return Fraction(sum(n for v, n in self._lengths() if not num_le(v, c)), self.den)
+        return self.measure_where(lambda v: not num_le(v, c))
 
     # -- serialization -------------------------------------------------
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import as_float, num_eq
+from .exactnum import as_float, exact_sqrt, num_eq
 from .info import (
     PointSet,
     dyadic_floor,
@@ -630,8 +630,7 @@ def suite_family_exactness(seed=0, count=3):
             total = total + u
         if not all(num_eq(v, 0) for v in total.body.values):
             viol += 1
-        import sympy
-        if not num_eq(total.ext.get(0, 0), sympy.sqrt(3)):
+        if not num_eq(total.ext.get(0, 0), exact_sqrt(3)):
             viol += 1
         # running maxima match the digit-sum function exactly
         acc = None

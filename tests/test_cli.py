@@ -195,3 +195,34 @@ def test_exact_mode_env(tmp_path, monkeypatch):
     assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["tail_set_exact"] == ["0", "1/3", "2/3", "1"]
+
+
+def test_analyze_all_zero_coefficients_is_data_error(tmp_path, capsys):
+    # the zero sequence cannot be normalized: a data error, not a traceback
+    src = tmp_path / "zeros.json"
+    src.write_text('["0", "0"]')
+    assert run_cli(["analyze", str(src)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")
+
+
+@pytest.mark.parametrize("depth", ["21", "40", "-1"])
+def test_cantor_depth_budget_error(depth, capsys, monkeypatch):
+    # refused before any Cantor set is built
+    import orthoconv.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the set must not be built")
+
+    monkeypatch.setattr(cli, "continuity_verdict", never)
+    assert run_cli(["cantor", "--depth", "4", "--depth", depth]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("budget error:")
+
+
+def test_front_door_does_not_import_sympy():
+    # sympy is imported only to convert sympy values, never on import
+    import subprocess
+    import sys
+    code = "import orthoconv.cli, sys; assert 'sympy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
