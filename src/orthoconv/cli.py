@@ -37,7 +37,8 @@ EXIT_DATA = 2
 EXIT_ASSERT = 3
 
 # cantor --depth budget: the Cantor truncation has 2**(depth+1) points;
-# depth 18 takes about 3 s and 110 MB, and the cost triples per level
+# depth 18 takes about 4 s and 66 MB on a 2-core x86 VM, and the cost
+# grows two- to threefold per level
 CANTOR_MAX_DEPTH = 20
 
 

@@ -271,10 +271,16 @@ def cantor_info_fn(depth: int, clip) -> StepFunction:
 
     Value m on each removed middle third of generation m <= depth, and
     ``clip`` on the 2**d surviving intervals (standing in for all the
-    deeper, larger values).
+    deeper, larger values); values above ``clip`` are clipped to it.
+    On the 3**d lattice a gap of width 3**(d-m) carries the value m, so
+    the values come from a table of d+1 widths.
     """
-    h = info_fn(cantor_points(depth), base=3)
-    return h.map_values(lambda v: v if num_le(v, clip) else clip)
+    B = cantor_points(depth)
+    value = {3 ** (depth - m): m if num_le(m, clip) else clip
+             for m in range(depth + 1)}
+    nums = B.nums
+    return StepFunction.from_lattice(B.den, nums[1:],
+                                     [value[b - a] for a, b in zip(nums, nums[1:])])
 
 
 def floor_pow2(a):

@@ -13,6 +13,7 @@ arbitrary sets to triadic ones.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .info import PointSet, cantor_info_fn, info_fn
@@ -37,10 +38,6 @@ ONE = Fraction(1)
 BASE_POINTS = (ZERO, Fraction(1, 3), Fraction(2, 3), ONE)
 
 
-def _is_multiple(x: Fraction, size: int) -> bool:
-    return (x.numerator * size) % x.denominator == 0
-
-
 def _cell_of(t: Fraction, size: int) -> int:
     """Index n with t in (n/size, (n+1)/size]; t must be > 0."""
     num = t.numerator * size
@@ -58,40 +55,42 @@ def _max_level(min_gap: Fraction) -> int:
     return i
 
 
+def _on_lattice(n: int, size: int, den: int):
+    """Numerator of n/size over den, or None when n/size is off that lattice."""
+    q, r = divmod(n * den, size)
+    return None if r else q
+
+
 def is_triadic_set(B: PointSet):
     """Decide the triadic property; returns (ok, witness).
 
     witness is ('missing-base', point), ('unpaired', point) or
     ('open-cell', (i, n)) for the first violated closure cell.
     """
-    pts = set(B.points)
+    den, nums = B.den, B.nums
+    members = set(nums)
     for p in BASE_POINTS:
-        if p not in pts:
+        n = _on_lattice(p.numerator, p.denominator, den)
+        if n not in members:
             return False, ("missing-base", p)
-    min_gap = B.min_gap()
-    levels = range(_max_level(min_gap) + 1)
-    # every point must belong to some neighbor pair inside B
-    for t in B.points:
-        paired = False
-        for i in levels:
-            w = grid_width(i)
-            if not _is_multiple(t, grid_size(i)):
-                continue
-            if (t - w >= ZERO and t - w in pts) or (t + w <= ONE and t + w in pts):
-                paired = True
-                break
-        if not paired:
-            return False, ("unpaired", t)
+    levels = range(_max_level(B.min_gap()) + 1)
+    # every point must belong to some neighbor pair inside B; a pair at a
+    # level whose width is off the lattice cannot lie in B
+    widths = [den // grid_size(i) for i in levels if den % grid_size(i) == 0]
+    for n in nums:
+        if not any(n % w == 0 and (n - w in members or n + w in members)
+                   for w in widths):
+            return False, ("unpaired", Fraction(n, den))
     # closure: an interior point of a cell forces both endpoints
     for i in levels:
         size = grid_size(i)
-        w = grid_width(i)
-        for t in B.points:
-            if t in (ZERO, ONE) or _is_multiple(t, size):
+        for n in nums[1:-1]:
+            cell, r = divmod(n * size, den)
+            if r == 0:
                 continue
-            n = _cell_of(t, size)
-            if n * w not in pts or (n + 1) * w not in pts:
-                return False, ("open-cell", (i, n))
+            if (_on_lattice(cell, size, den) not in members
+                    or _on_lattice(cell + 1, size, den) not in members):
+                return False, ("open-cell", (i, cell))
     return True, None
 
 
@@ -118,37 +117,50 @@ def generate(A: PointSet) -> GeneratedSetResult:
     to the cutoff where no point qualifies.  The base quadruple is always
     included, and the result is triadic by construction (checked).
     """
-    pts = list(A.points)
-    out = set(BASE_POINTS)
-    pairs = []
-    for k, t in enumerate(pts):
-        if t == ZERO:
-            continue  # no half-open cell contains 0
-        dists = []
-        if k > 0:
-            dists.append(t - pts[k - 1])
-        if k + 1 < len(pts):
-            dists.append(pts[k + 1] - t)
-        if not dists:
-            continue
-        r = min(dists)  # rho(t, A minus {t})
+    den, nums = A.den, A.nums
+    pairs = set()
+    for k in range(1, len(nums)):  # no half-open cell contains 0
+        n = nums[k]
+        r = n - nums[k - 1]  # den * rho(t, A minus {t})
+        if k + 1 < len(nums):
+            r = min(r, nums[k + 1] - n)
         i = 1
-        while True:
-            thr = Fraction(1, 3 ** (2 ** (i - 1)))
-            if r > thr:
-                break
-            size = grid_size(i)
-            n = _cell_of(t, size)
-            w = grid_width(i)
-            out.add(n * w)
-            out.add((n + 1) * w)
-            pairs.append((i, n))
+        while r * grid_size(i - 1) <= den:  # rho <= 3**-2**(i-1)
+            # the cell (c/size, (c+1)/size] holding n/den
+            pairs.add((i, (n * grid_size(i) - 1) // den))
             i += 1
-    result = GeneratedSetResult(A, PointSet(out), sorted(set(pairs)))
-    ok, witness = is_triadic_set(result.generated)
+    # endpoints on the finest grid used, the base quadruple included
+    size = grid_size(max((i for i, _ in pairs), default=0))
+    out = {0, size // 3, 2 * size // 3, size}
+    for i, n in pairs:
+        scale = size // grid_size(i)
+        out.add(n * scale)
+        out.add((n + 1) * scale)
+    nums = sorted(out)
+    g = math.gcd(size, *nums)
+    generated = PointSet.from_lattice(size // g, [n // g for n in nums])
+    result = GeneratedSetResult(A, generated, sorted(pairs))
+    ok, witness = is_triadic_set(generated)
     if not ok:
         raise AssertionError("generated set failed the triadic check: %r" % (witness,))
     return result
+
+
+def _nearest_sum(xs, ys) -> int:
+    """Sum over x in xs of the distance to the nearest y in ys.
+
+    Both are sorted lists of ints and ys[0] <= xs[0]; one merge pass.
+    """
+    total = 0
+    j, last = 0, len(ys) - 1
+    for x in xs:
+        while j < last and ys[j + 1] <= x:
+            j += 1
+        d = x - ys[j]
+        if j < last and ys[j + 1] - x < d:
+            d = ys[j + 1] - x
+        total += d
+    return total
 
 
 def rho_sums(A: PointSet, generated: PointSet = None):
@@ -156,12 +168,14 @@ def rho_sums(A: PointSet, generated: PointSet = None):
 
     Returns (sum over the envelope of dist(., A), sum over A of
     dist(., envelope)); the first is at most 3 and the second at most 1.
+    Both sets go on one common lattice and are merged in linear time.
     """
     if generated is None:
         generated = generate(A).generated
-    s1 = sum((rho(t, A.points) for t in generated.points), start=ZERO)
-    s2 = sum((rho(s, generated.points) for s in A.points), start=ZERO)
-    return s1, s2
+    den = math.lcm(A.den, generated.den)
+    a = [n * (den // A.den) for n in A.nums]
+    g = [n * (den // generated.den) for n in generated.nums]
+    return Fraction(_nearest_sum(g, a), den), Fraction(_nearest_sum(a, g), den)
 
 
 def monotonicity_checks(A: PointSet, A1: PointSet) -> dict:
@@ -286,10 +300,15 @@ def continuity_verdict(B, t, window_sizes, depths=None, clip_floor=1) -> dict:
     truncation depths to trace).  For each window U = [t-d, t+d] the
     stabilized value V(max(H 1_U, clip_floor on U)) is computed; for
     generator-described sets the value is reported per depth, without a
-    finite/infinite verdict.
+    finite/infinite verdict.  Raises ValueError for t outside [0, 1] or
+    a half-width that is not positive.
     """
     t = Fraction(t)
     windows = [Fraction(w) for w in window_sizes]
+    if not ZERO <= t <= ONE:
+        raise ValueError("the time point must lie in [0, 1]")
+    if any(w <= 0 for w in windows):
+        raise ValueError("window half-widths must be positive")
     is_cantor = isinstance(B, str) and B == "cantor"
     if is_cantor:
         depths = depths or [4, 6, 8]

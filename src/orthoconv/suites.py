@@ -13,8 +13,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import as_float, exact_sqrt, num_eq
 from .info import (
     PointSet,
@@ -198,6 +196,7 @@ def suite_step_algebra(seed=0, count=60):
 
 
 def _dense_v_composite(cells, j_lo, j_hi):
+    import numpy as np  # imported on use, so that importing the package does not load it
     v = np.asarray(cells, dtype=float)
     for j in range(j_hi, j_lo - 1, -1):
         size = grid_size(j)
@@ -387,6 +386,7 @@ def suite_scalar_factor14(seed=0, count=100):
     """Discrete two-level comparison: with g >= g1 >= 2, g1 >= 4 where
     g >= 8, and the tail hypothesis, ||Vg - 1|| <= 14 ||Vg1 - 1|| for
     Vg = g^4 + ||(g-4)^+|| over a probability vector."""
+    import numpy as np
     rng = random.Random(seed)
     viol = 0
     skipped = 0

@@ -226,3 +226,25 @@ def test_front_door_does_not_import_sympy():
     import sys
     code = "import orthoconv.cli, sys; assert 'sympy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_front_door_does_not_import_numpy():
+    # numpy is imported only inside the verification suites that use it
+    import subprocess
+    import sys
+    code = "import orthoconv.cli, sys; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--t", "2", "--window", "1/3"],
+    ["--t=-1/3"],
+    ["--window", "0"],
+    ["--window=-1/3"],
+    ["--window", "1/3", "--window", "0"],
+])
+def test_cantor_meaningless_window_is_data_error(argv, capsys):
+    # a time outside [0, 1] or a non-positive half-width has no window
+    assert run_cli(["cantor", "--depth", "4"] + argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")
