@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
-from .exactnum import as_float, format_rational, parse_rational
+from .exactnum import format_rational, parse_rational
 from .info import CoefficientSeq, PointSet, info_fn, tail_set
 from .vcalc import v_functional
 from . import criteria as crit
@@ -76,7 +77,11 @@ def cmd_analyze(args) -> int:
         seq = _read_coefficients(args.input)
         notice = None
         if not seq.is_normalized():
-            notice = "input squares summed to %s; normalized" % as_float(seq.total)
+            try:
+                total = float(seq.total)
+            except OverflowError:  # beyond the float range
+                total = math.inf
+            notice = "input squares summed to %s; normalized" % total
             seq = seq.normalized()
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print("data error: %s" % e, file=sys.stderr)
@@ -93,8 +98,8 @@ def cmd_analyze(args) -> int:
         "tail_set": B.to_json(),
         "information_function": {
             "pieces": len(h.values),
-            "max": as_float(h.max_value()),
-            "min": as_float(h.min_value()),
+            "max": float(h.max_value()),
+            "min": float(h.min_value()),
         },
         "v_trace": trace.to_json(),
         "v_of_clipped_h": value,
@@ -116,7 +121,7 @@ def _jsonable(x):
         return format_rational(x)
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
-    return as_float(x)
+    return float(x)
 
 
 def cmd_construct(args) -> int:
@@ -128,7 +133,7 @@ def cmd_construct(args) -> int:
             return EXIT_DATA
         chi = OrthoVector.basis(0)
         fam = phi_family(args.k, chi)
-        cell = _jsonable if _exact_mode() else as_float
+        cell = _jsonable if _exact_mode() else float
         gram = [[None] * len(fam) for _ in fam]
         for i, u in enumerate(fam):
             for j in range(i, len(fam)):  # inner products are symmetric
@@ -144,6 +149,7 @@ def cmd_construct(args) -> int:
         return EXIT_OK
     if args.b is not None or args.grid is not None:
         try:
+            thresholds = [parse_rational(y) for y in (args.y or [])]
             if args.grid is not None:
                 if args.grid not in (0, 1, 2):
                     raise ValueError("grid level must be 0, 1 or 2")
@@ -158,7 +164,6 @@ def cmd_construct(args) -> int:
         rep = out["report"]
         from .ortho import maximal_function
         m = maximal_function(rep["process"])
-        thresholds = [parse_rational(y) for y in (args.y or [])]
         report = {
             "command": "construct",
             "flags": {"b": args.b, "grid": args.grid, "y": args.y,
@@ -180,7 +185,7 @@ def cmd_construct(args) -> int:
                  "measure_gt": _jsonable(m.measure_gt(y))}
                 for y in thresholds]
         ok = (rep["final_value_ok"] and rep["membership_ok"]
-              and as_float(rep["gram_deviation"]) == 0)
+              and rep["gram_deviation"] == 0)
         _dump(report, args.out)
         return EXIT_OK if ok else EXIT_ASSERT
     print("usage error: construct needs --k or --b/--grid", file=sys.stderr)

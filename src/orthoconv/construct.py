@@ -28,13 +28,13 @@ import bisect
 import math
 from fractions import Fraction
 
-from .exactnum import (RootSum, as_float, exact_sqrt, num_eq, num_le, num_lt,
-                       sqrt_float)
+from .exactnum import RootSum, exact_sqrt, sqrt_float
 from .info import PointSet, info_fn, dyadic_floor
 from .ortho import (
     IdAllocator,
     OrthoProcess,
     OrthoVector,
+    ProductProcess,
     gram_check,
     maximal_function,
 )
@@ -137,7 +137,7 @@ def phi_family(k: int, chi: OrthoVector, window=(ZERO, ONE), scale=1,
     a, b = Fraction(window[0]), Fraction(window[1])
     if not ZERO <= a < b <= ONE:
         raise ValueError("bad window")
-    if not num_eq(chi.norm_sq(), 1):
+    if chi.norm_sq() != 1:
         raise ValueError("chi must be a unit vector")
     if require_empty_body and not chi.body_support_in(ONE, ONE):
         raise ValueError("chi must have an empty body")
@@ -170,7 +170,7 @@ def phi_family(k: int, chi: OrthoVector, window=(ZERO, ONE), scale=1,
 
 def _body_vanishes_on(v: OrthoVector, a, b) -> bool:
     for lo, hi, val in v.body.pieces():
-        if num_eq(val, 0):
+        if val == 0:
             continue
         if hi > a and lo < b:
             return False
@@ -213,7 +213,7 @@ def bernstein_check(k: int):
         tail += Fraction(math.comb(k, j) * 2 ** (k - j), 3 ** k)
         j += 1
     bound = math.exp(-k / 144.0)
-    return tail, bound, as_float(tail) <= bound
+    return tail, bound, float(tail) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def householder_family(head: OrthoVector, alphas, alloc: IdAllocator):
     if r_count == 1:
         return [head]
     a1 = alphas[0]
-    if num_eq(a1, 1):
+    if a1 == 1:
         fam = [head]
         for _ in range(r_count - 1):
             fam.append(OrthoVector.basis(alloc.fresh()))
@@ -246,7 +246,7 @@ def householder_family(head: OrthoVector, alphas, alloc: IdAllocator):
         for m in range(r_count):
             vm = (1 - a1 if m == 0 else -alphas[m])
             coeff = (1 if m == r else 0) - vm * vr / denom
-            if num_eq(coeff, 0):
+            if coeff == 0:
                 continue
             term = coeff * basis[m]
             vec = term if vec is None else vec + term
@@ -369,7 +369,7 @@ class ComplexityCert:
             report["window"] = (a, b)
             report["threshold"] = sqrt_float(self.y_sq / w)
             report["good_measure"] = good
-            report["achieved_eps"] = as_float((w - good) / w)
+            report["achieved_eps"] = float((w - good) / w)
             report["nominal_eps"] = self.eps
         return report
 
@@ -377,7 +377,7 @@ class ComplexityCert:
 def _measure_ge_root(f: StepFunction, y_sq, w=ONE) -> Fraction:
     """Measure of (f >= sqrt(y_sq / w)), decided on squares:
     v >= 0 and v**2 * w >= y_sq."""
-    return f.measure_where(lambda v: num_le(0, v) and num_le(y_sq, v * v * w))
+    return f.measure_where(lambda v: 0 <= v and y_sq <= v * v * w)
 
 
 def _membership_ok(v: OrthoVector, a, b, chi: OrthoVector) -> bool:
@@ -385,7 +385,7 @@ def _membership_ok(v: OrthoVector, a, b, chi: OrthoVector) -> bool:
     window_body = v.body.restrict(a, b) if a < b else v.body * 0
     c = v.inner(chi)
     residue = v - OrthoVector(window_body) - c * chi
-    return all(num_eq(x, 0) for x in residue.body.values)
+    return all(x == 0 for x in residue.body.values)
 
 
 def trivial_cert(B: PointSet, lo, hi) -> ComplexityCert:
@@ -519,7 +519,7 @@ def merge(certs, B: PointSet = None) -> ComplexityCert:
         chis = householder_family(chi, alphas, alloc)
         w = b - a
         positive = [i for i, c in enumerate(certs)
-                    if not num_eq(c.y_sq, 0)] if w > 0 else []
+                    if c.y_sq != 0] if w > 0 else []
         if positive:
             fracs = _rationalize_ratios([certs[i].y_sq / y_sq for i in positive])
         windows = {}
@@ -585,7 +585,7 @@ def nest(k: int, sub_certs, B: PointSet = None) -> ComplexityCert:
     measure = eta * 3 ** k
     low = sub_certs[0]
     for c in sub_certs[1:]:
-        if num_lt(c.y_sq, low.y_sq):
+        if c.y_sq < low.y_sq:
             low = c
     y_out = exact_sqrt(3 ** k) * low.y + 4 * k * exact_sqrt(3 ** k * eta)
     eps_children = [c.eps for c in sub_certs if c.eps is not None]
@@ -625,7 +625,7 @@ def corollary_union(certs, h: StepFunction, B: PointSet = None) -> ComplexityCer
     for c in certs:
         want_sq = sum((h.restrict(lo, hi).integral_sq() for lo, hi in c.intervals),
                       start=ZERO)
-        if not num_eq(c.y_sq, want_sq):
+        if c.y_sq != want_sq:
             raise ValueError("threshold does not match ||h|| on a part")
     return merge(certs, B)
 
@@ -641,11 +641,11 @@ def corollary_equal_blocks(k: int, certs, level_value, B: PointSet = None):
     eta = certs[0].intervals[0][1] - certs[0].intervals[0][0]
     want = level_value * exact_sqrt(eta)
     for c in certs:
-        if not num_eq(c.y, want):
+        if c.y != want:
             raise ValueError("parts must share the constant-excess threshold")
     out = nest(k, certs, B)
     target = (level_value + 4 * k) * exact_sqrt(eta * 3 ** k)
-    if not num_eq(out.y, target):
+    if out.y != target:
         raise AssertionError("nested threshold mismatch: %s vs %s"
                              % (out.y, target))
     return out
@@ -659,7 +659,7 @@ def _hu_min_on(hu: StepFunction, lo, hi):
     vals = [v for plo, phi, v in hu.pieces() if phi > lo and plo < hi]
     out = vals[0]
     for v in vals[1:]:
-        if num_lt(v, out):
+        if v < out:
             out = v
     return out
 
@@ -735,7 +735,7 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None,
         target = Fraction(2) ** child_level  # excess means hu >= 2**(parent+1)
         candidates = []
         if parent_level >= 1:
-            excess = [(idx, v) for idx, v in cellish if num_le(target, v)]
+            excess = [(idx, v) for idx, v in cellish if target <= v]
             if excess:
                 sel = select_blocks([v - target for _, v in excess], parent_level)
                 if sel.blocks:
@@ -757,7 +757,7 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None,
             candidates.append(("single", certs[0]))
         best_name, best = candidates[0]
         for name, c in candidates[1:]:
-            if num_lt(best.y_sq, c.y_sq):
+            if best.y_sq < c.y_sq:
                 best_name, best = name, c
         steps.append({"cell": (str(lo), str(hi)), "choice": best_name,
                       "y": sqrt_float(best.y_sq)})
@@ -776,12 +776,12 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None,
         "exceedance_at_achieved_y": _measure_ge_root(m, top.y_sq),
     }
     if y_target is not None:
-        out["y_target"] = as_float(y_target)
+        out["y_target"] = float(y_target)
         out["exceedance_at_target"] = m.measure_ge(y_target)
     return out
 
 
-def divergent_prefix(block_sets, cuts, chi_ids=None) -> "ProductProcess":
+def divergent_prefix(block_sets, cuts, chi_ids=None) -> ProductProcess:
     """Finite product-space prefix of the divergence construction.
 
     Each entry of block_sets is a finite triadic PointSet in unit
@@ -789,7 +789,6 @@ def divergent_prefix(block_sets, cuts, chi_ids=None) -> "ProductProcess":
     the corresponding time block (cuts strictly decreasing, at most 4
     blocks).  Returns the glued product process.
     """
-    from .ortho import glue_blocks
     if len(block_sets) > 4:
         raise ValueError("product budget: at most 4 factors")
     blocks = []
@@ -797,4 +796,4 @@ def divergent_prefix(block_sets, cuts, chi_ids=None) -> "ProductProcess":
         chi = OrthoVector.basis(0 if chi_ids is None else chi_ids[s])
         rep = build_divergent(Bs, chi=chi)
         blocks.append(rep["report"]["process"])
-    return glue_blocks(blocks, cuts)
+    return ProductProcess(blocks, cuts)

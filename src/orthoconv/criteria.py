@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import as_float, log_ratio
+from .exactnum import log_ratio
 from .info import CoefficientSeq, info_fn, tail_set
 from .stepfn import clip_min
 
@@ -42,12 +42,12 @@ def rm_weyl(seq: CoefficientSeq, r) -> dict:
     sequence stays bounded; the report carries the ratios (n >= 2), their
     max, and the last few values as the tail trend.
     """
-    r = [as_float(x) for x in r]
+    r = [float(x) for x in r]
     if len(r) != len(seq):
         raise ValueError("weight list must match the sequence length")
     if any(b < a for a, b in zip(r, r[1:])) or any(x < 0 for x in r):
         raise ValueError("weights must be increasing and nonnegative")
-    weighted = sum(rn * as_float(sq) for rn, sq in zip(r, seq.squares))
+    weighted = sum(rn * float(sq) for rn, sq in zip(r, seq.squares))
     ratios = [r[n - 1] / (math.log2(n) ** 2) for n in range(2, len(r) + 1)]
     return {
         "weighted_sum": weighted,
@@ -63,7 +63,7 @@ def alpha_condition(seq: CoefficientSeq) -> float:
         raise ValueError("the distribution criterion needs decreasing |a_n|")
     total = 0.0
     for sq in seq.squares:
-        s = as_float(sq)
+        s = float(sq)
         if s > 0:
             total += s * _log2_sq(math.sqrt(s))
     return total
@@ -121,7 +121,7 @@ def beta_condition(seq: CoefficientSeq) -> dict:
         if i is None:
             residual.append(n)
             continue
-        s = as_float(sq)
+        s = float(sq)
         blocks.setdefault(i, 0.0)
         blocks[i] += s * _log2_sq(math.sqrt(s))
     terms = {i: math.sqrt(v) for i, v in sorted(blocks.items())}
@@ -145,7 +145,7 @@ def gamma_condition(seq: CoefficientSeq) -> dict:
     Requires nonnegative coefficients; zero terms are skipped.  The i=0
     slice is reported separately for transparency.
     """
-    if any(as_float(c) < 0 for c in seq.coeffs):
+    if any(c < 0 for c in seq.coeffs):
         raise ValueError("the slice criterion assumes a_n >= 0")
     imax = 0
     zs = []
@@ -163,11 +163,11 @@ def gamma_condition(seq: CoefficientSeq) -> dict:
         for sq, z in zip(seq.squares, zs):
             if z is None:
                 continue
-            tot += as_float(sq) * _slice(z, i) ** 2
+            tot += float(sq) * _slice(z, i) ** 2
         if tot:
             terms[i] = math.sqrt(tot)
     slice0 = math.sqrt(sum(
-        as_float(sq) * _slice(z, 0) ** 2
+        float(sq) * _slice(z, 0) ** 2
         for sq, z in zip(seq.squares, zs) if z is not None) or 0.0)
     return {"terms": terms, "sum": sum(terms.values()), "slice0": slice0}
 
@@ -186,7 +186,7 @@ def sandwich_check(seq: CoefficientSeq) -> dict:
     and B- <= block sum <= B+ (block boundaries in the z convention,
     upper-closed in |a|).
     """
-    if any(as_float(c) < 0 for c in seq.coeffs):
+    if any(c < 0 for c in seq.coeffs):
         raise ValueError("assumes a_n >= 0")
     weights = {}   # i -> sum of a_n**2 over the i-th z-block, i >= 1
     gamma_terms = {}
@@ -201,9 +201,9 @@ def sandwich_check(seq: CoefficientSeq) -> dict:
         while z >= 2 ** (i + 1):
             i += 1
         weights.setdefault(i, 0.0)
-        weights[i] += as_float(sq)
+        weights[i] += float(sq)
         beta_terms.setdefault(i, 0.0)
-        beta_terms[i] += as_float(sq) * as_float(z) ** 2
+        beta_terms[i] += float(sq) * float(z) ** 2
     imax = max(weights) if weights else 0
     for i in range(1, imax + 1):
         tot = 0.0
@@ -211,7 +211,7 @@ def sandwich_check(seq: CoefficientSeq) -> dict:
             if sq == 0:
                 continue
             z = _neg_log2_float(sq)
-            tot += as_float(sq) * _slice(z, i) ** 2
+            tot += float(sq) * _slice(z, i) ** 2
         gamma_terms[i] = math.sqrt(tot)
     norm_sq = {i: weights.get(i, 0.0) for i in range(1, imax + 1)}
     tail = {}
@@ -253,7 +253,7 @@ def tandori_sum(seq: CoefficientSeq) -> dict:
         while 2 ** (2 ** (i + 1)) <= n:
             i += 1
         blocks.setdefault(i, 0.0)
-        blocks[i] += as_float(sq) * _log2_sq(n)
+        blocks[i] += float(sq) * _log2_sq(n)
     terms = {i: math.sqrt(v) for i, v in sorted(blocks.items())}
     return {"terms": terms, "sum": sum(terms.values()), "below_blocks": below}
 
@@ -272,7 +272,7 @@ def theorem_conditions(seq: CoefficientSeq, indicator: str = "I") -> dict:
     J = info_fn(B, base=2)
     alpha1 = J.l2_norm()
     X = J if indicator == "I" else info_fn(B, base=3)
-    xmax = as_float(X.max_value())
+    xmax = float(X.max_value())
     beta_terms = {}
     i = 1
     while 2 ** i <= max(xmax, 2.0):
@@ -281,7 +281,7 @@ def theorem_conditions(seq: CoefficientSeq, indicator: str = "I") -> dict:
         if term:
             beta_terms[i] = term
         i += 1
-    jmax = as_float(J.max_value())
+    jmax = float(J.max_value())
     gamma_terms = {}
     i = 0
     while True:
@@ -313,14 +313,14 @@ def measure_criterion(atom_probs) -> dict:
     if any(p <= 0 for p in probs):
         raise ValueError("atom probabilities must be positive")
     total = sum(probs, start=Fraction(0))
-    if abs(as_float(total) - 1.0) > 1e-9:
+    if abs(float(total) - 1.0) > 1e-9:
         raise ValueError("atom probabilities must sum to 1")
     hs = [-log_ratio(p.numerator, p.denominator) / math.log(3) for p in probs]
     hmax = max(hs)
     terms = {}
     i = 0
     while True:
-        tot = sum(as_float(p) * _slice(h, i) ** 2 for p, h in zip(probs, hs))
+        tot = sum(float(p) * _slice(h, i) ** 2 for p, h in zip(probs, hs))
         if tot:
             terms[i] = math.sqrt(tot)
         if (2 if i == 0 else 2 ** (i + 1)) >= hmax:

@@ -1,23 +1,22 @@
-"""Shared numeric helpers for mixed exact/floating-point values.
+"""Exact numbers: the value types of the package and their helpers.
 
 Values carried by step functions and L2 vectors are one of
 
 * ``int`` / ``fractions.Fraction`` -- exact rationals (the fast path),
 * :class:`RootSum` -- exact irrationals of a multiquadratic field, such
   as sqrt(3)/9 or 1 + sqrt(2)/2: everything the constructions make,
-* ``float`` -- when an operation left the exact world,
-* ``sympy.Expr`` constants -- accepted from callers; this module imports
-  sympy only to convert to and from them.
+* ``float`` -- when an operation left the exact world.
 
-Arithmetic mixes these freely; the helpers below centralize comparisons,
-square roots and (de)serialization so the rest of the package does not
-have to care which representation a value happens to use.
+Python's own operators compare and combine all four exactly, so callers
+use ``==``, ``<=``, ``<`` and ``float()`` directly.  This module adds
+exact square roots, rational parsing and formatting, and the JSON form
+of values; sympy is imported only to write and read the ``"sym:"`` text
+of irrational values.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,13 +24,7 @@ __all__ = [
     "RootSum",
     "exact_sqrt",
     "sqrt_float",
-    "as_float",
     "log_ratio",
-    "num_eq",
-    "num_le",
-    "num_lt",
-    "num_min",
-    "num_max",
     "parse_rational",
     "format_rational",
     "value_to_json",
@@ -197,7 +190,7 @@ class RootSum:
     multiplies by conjugates, one prime at a time); with a float the
     result is a float.  Signs come from a float evaluation, or exactly
     from squares when that is too close to call.  ``float()`` is
-    correctly rounded.  ``_sympy_`` converts for sympy callers.
+    correctly rounded.  ``_sympy_`` converts to sympy for the ``"sym:"`` text.
     """
 
     __slots__ = ("terms",)
@@ -307,8 +300,8 @@ class RootSum:
     def __eq__(self, other):
         if type(other) is RootSum:
             return self.terms == other.terms
-        if type(other) in _PLAIN:
-            return False
+        if type(other) in (int, Fraction, float):
+            return False  # a RootSum is irrational
         return NotImplemented
 
     def __hash__(self):
@@ -371,10 +364,6 @@ class RootSum:
         return s[2:] if s[0] == "+" else "-" + s[2:]
 
 
-# value types compared with Python's own operators, before any sympy check
-_PLAIN = frozenset((int, Fraction, float, RootSum))
-
-
 def _root_of(x, depth: int = 6):
     """Nonnegative r with r*r == x inside the multiquadratic field, or None.
 
@@ -417,24 +406,21 @@ def exact_sqrt(x):
     """Square root preserving exactness.
 
     Rationals that are perfect squares stay rational, other rationals and
-    field elements give a field element; floats stay floats and sympy
-    values stay sympy.  Raises ValueError for a negative value, and for a
-    field element whose root lies outside every multiquadratic field.
+    field elements give a field element; floats stay floats.  Raises
+    ValueError for a negative value, and for a field element whose root
+    lies outside every multiquadratic field; TypeError for any other type.
     """
     t = type(x)
     if t is float:
         return math.sqrt(x)
-    if t is RootSum or isinstance(x, _RATIONALS):
-        r = _root_of(x)
-        if r is None:
-            if num_lt(x, 0):
-                raise ValueError("square root of negative value")
-            raise ValueError("square root of %s leaves the multiquadratic field" % x)
-        return r
-    if _is_sympy(x):
-        import sympy
-        return sympy.sqrt(x)
-    return math.sqrt(x)
+    if t is not RootSum and not isinstance(x, _RATIONALS):
+        raise TypeError("no exact square root of a %s" % t.__name__)
+    r = _root_of(x)
+    if r is None:
+        if x < 0:
+            raise ValueError("square root of negative value")
+        raise ValueError("square root of %s leaves the multiquadratic field" % x)
+    return r
 
 
 def sqrt_float(x) -> float:
@@ -454,18 +440,6 @@ def sqrt_float(x) -> float:
         prec *= 2
 
 
-def _is_sympy(x) -> bool:
-    """True for a sympy expression (never when sympy is not imported)."""
-    mod = sys.modules.get("sympy")
-    return mod is not None and isinstance(x, mod.Expr)
-
-
-def as_float(x) -> float:
-    if type(x) in _PLAIN or not _is_sympy(x):
-        return float(x)
-    return float(x.evalf(30))
-
-
 def log_ratio(num: int, den: int, log=math.log) -> float:
     """log(num / den) for positive integers, by ``log`` (math.log, log2, ...).
 
@@ -479,99 +453,25 @@ def log_ratio(num: int, den: int, log=math.log) -> float:
     return log(num) - log(den)
 
 
-def _to_sympy(x):
-    import sympy
-    if isinstance(x, Fraction):
-        return sympy.Rational(x.numerator, x.denominator)
-    return sympy.sympify(x)
-
-
-# A sympy evaluation at _SIGN_DIGITS digits that lands further than
-# 10**-_SIGN_FLOOR_DIGITS from 0 decides the sign; the values carried here
-# are sums of radicals of modest size, whose evaluation error sits far
-# below it.
-_SIGN_DIGITS = 30
-_SIGN_FLOOR_DIGITS = 20
-
-
-def _sym_sign(d):
-    """Sign of an exact sympy constant d: -1, 0 or 1.
-
-    Decided without sympy's assumption queries (``is_zero``,
-    ``equals``): their handlers run in a randomly shuffled order and can
-    contradict each other on radical expressions, raising
-    ``InconsistentAssumptions`` for some orders.  Instead:
-
-    * a rational by its numerator;
-    * a nonzero value by an evaluation clearly separated from 0;
-    * zero by the canonical form ``expand(radsimp(expand(d)))``, which is
-      exact for rational combinations of square roots (Besicovitch, as
-      for :class:`RootSum`).
-
-    A value that is neither separated from 0 nor canonically zero raises
-    ``ArithmeticError`` instead of being guessed.
-    """
-    import sympy
-    if d.is_Rational:
-        return (d.p > 0) - (d.p < 0)
-    v = d.evalf(_SIGN_DIGITS)
-    if v.is_Number and abs(v) > sympy.Rational(1, 10 ** _SIGN_FLOOR_DIGITS):
-        return 1 if v > 0 else -1
-    c = sympy.expand(sympy.radsimp(sympy.expand(d)))
-    if c.is_Rational:
-        return (c.p > 0) - (c.p < 0)
-    raise ArithmeticError("cannot decide the sign of %s exactly" % d)
-
-
 def _compare(a, b) -> int:
-    """Three-way comparison across all supported value types."""
-    if not _is_sympy(a) and not _is_sympy(b):
-        if a == b:
-            return 0
-        return -1 if a < b else 1
-    return _sym_sign(_to_sympy(a) - _to_sympy(b))
-
-
-# The comparisons answer pairs of int/Fraction/float/RootSum values with
-# Python's operators (exact for all of these) before any sympy check, and
-# pass every other pair to _compare.
-
-def num_eq(a, b) -> bool:
-    if type(a) in _PLAIN and type(b) in _PLAIN:
-        return a == b
-    return _compare(a, b) == 0
-
-
-def num_le(a, b) -> bool:
-    if type(a) in _PLAIN and type(b) in _PLAIN:
-        return a <= b
-    return _compare(a, b) <= 0
-
-
-def num_lt(a, b) -> bool:
-    if type(a) in _PLAIN and type(b) in _PLAIN:
-        return a < b
-    return _compare(a, b) < 0
-
-
-def num_min(a, b):
-    return a if num_le(a, b) else b
-
-
-def num_max(a, b):
-    return b if num_le(a, b) else a
+    """Three-way comparison of two values.  The package compares with
+    Python's operators; this name stays because the benchmark tracer
+    (``perfbench/tracer.py``) counts its calls."""
+    return (a > b) - (a < b)
 
 
 def parse_rational(s) -> Fraction:
-    """Parse 'p/q', decimal strings, ints or floats into an exact Fraction."""
+    """Parse 'p/q', decimal strings, ints or floats into an exact Fraction.
+
+    Raises ValueError for anything that is not a finite rational, a zero
+    denominator or an infinite float included.
+    """
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)
-    txt = str(s).strip()
-    return Fraction(txt)
+    try:
+        return Fraction(s) if isinstance(s, (int, float)) else Fraction(str(s).strip())
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError("%r is not a finite rational" % (s,)) from None
 
 
 def format_rational(fr: Fraction) -> str:
@@ -592,31 +492,28 @@ def value_to_json(v):
     if isinstance(v, _RATIONALS):
         return format_rational(Fraction(v))
     if type(v) is RootSum:
-        v = v._sympy_()
-    if _is_sympy(v):
         import sympy
-        return "sym:" + sympy.srepr(v) if not v.is_Rational else format_rational(
-            Fraction(int(v.p), int(v.q)))
+        return "sym:" + sympy.srepr(v._sympy_())
     return float(v)
 
 
 def _from_sympy(e):
-    """A sympy constant as a Fraction or RootSum where it is a rational
-    combination of square roots of positive integers; else unchanged."""
+    """A sympy constant as a Fraction or RootSum; raises ValueError unless
+    it is a rational combination of square roots of positive integers."""
     import sympy
     total = ZERO
     for term in sympy.Add.make_args(sympy.expand(e)):
         coeff, rest = term.as_coeff_Mul()
         if not coeff.is_Rational:
-            return e
-        c = Fraction(int(coeff.p), int(coeff.q))
+            raise ValueError("not an exact multiquadratic value: %s" % e)
         if rest == 1:
-            total = total + c
+            root = 1
         elif (rest.is_Pow and rest.exp == sympy.S.Half and rest.base.is_Integer
               and rest.base > 0):
-            total = total + c * exact_sqrt(int(rest.base))
+            root = exact_sqrt(int(rest.base))
         else:
-            return e
+            raise ValueError("not an exact multiquadratic value: %s" % e)
+        total = total + Fraction(int(coeff.p), int(coeff.q)) * root
     return total
 
 

@@ -16,7 +16,7 @@ import bisect
 import math
 from fractions import Fraction
 
-from .exactnum import as_float, format_rational, log_ratio, num_le, parse_rational
+from .exactnum import format_rational, log_ratio, parse_rational
 from .stepfn import (StepFunction, format_lattice_point, grid_size, grid_width,
                      lattice_of)
 
@@ -68,7 +68,7 @@ class CoefficientSeq:
         if any(s < 0 for s in sq):
             raise ValueError("squares must be nonnegative")
         obj = cls.__new__(cls)
-        obj.coeffs = tuple(as_float(s) ** 0.5 for s in sq)
+        obj.coeffs = tuple(float(s) ** 0.5 for s in sq)
         obj.squares = tuple(sq)
         obj.total = sum(sq, start=ZERO)
         return obj
@@ -85,7 +85,7 @@ class CoefficientSeq:
         return CoefficientSeq.from_squares([s / self.total for s in self.squares])
 
     def is_normalized(self, tol=1e-12) -> bool:
-        return abs(as_float(self.total) - 1.0) <= tol
+        return abs(self.total - 1) <= tol
 
     def moduli_decreasing(self) -> bool:
         return all(self.squares[i] >= self.squares[i + 1]
@@ -234,7 +234,7 @@ def info_fn(B: PointSet, base: int = 3) -> StepFunction:
     den, nums = B.den, B.nums
     vals = [_gap_log_value(b - a, den, base) for a, b in zip(nums, nums[1:])]
     if not all(type(v) is int for v in vals):
-        vals = [as_float(v) for v in vals]
+        vals = [float(v) for v in vals]
     return StepFunction.from_lattice(den, nums[1:], vals)
 
 
@@ -247,7 +247,7 @@ def info_fn_closed(B: PointSet, clip) -> StepFunction:
     ``clip`` replaced by ``clip``.
     """
     h = info_fn(B, base=3)
-    return h.map_values(lambda v: v if num_le(v, clip) else clip)
+    return h.map_values(lambda v: v if v <= clip else clip)
 
 
 def cantor_points(depth: int) -> PointSet:
@@ -276,7 +276,7 @@ def cantor_info_fn(depth: int, clip) -> StepFunction:
     the values come from a table of d+1 widths.
     """
     B = cantor_points(depth)
-    value = {3 ** (depth - m): m if num_le(m, clip) else clip
+    value = {3 ** (depth - m): m if m <= clip else clip
              for m in range(depth + 1)}
     nums = B.nums
     return StepFunction.from_lattice(B.den, nums[1:],
@@ -285,14 +285,14 @@ def cantor_info_fn(depth: int, clip) -> StepFunction:
 
 def floor_pow2(a):
     """Largest power 2**j <= a, for a >= 1; exponent returned too."""
-    if not num_le(1, a):
+    if not 1 <= a:
         raise ValueError("dyadic floor defined for values >= 1 only")
-    x = as_float(a)
+    x = float(a)
     j = max(0, math.floor(math.log2(x)))
     # float log may be off by one near powers of two; fix exactly
-    while not num_le(2 ** j, a):
+    while not 2 ** j <= a:
         j -= 1
-    while num_le(2 ** (j + 1), a):
+    while 2 ** (j + 1) <= a:
         j += 1
     return j, Fraction(2 ** j)
 
@@ -320,9 +320,9 @@ def is_triadic_fn(h: StepFunction, max_level: int = None):
     with the first offending cell.  Works from the level-set boundaries,
     so no cell enumeration happens.
     """
-    if not num_le(1, h.min_value()):
+    if not 1 <= h.min_value():
         raise ValueError("triadic functions must satisfy h >= 1")
-    top = as_float(h.max_value())
+    top = float(h.max_value())
     j_hi = 0
     while 2 ** (j_hi + 1) <= top:
         j_hi += 1
@@ -357,7 +357,7 @@ def is_type_level(h: StepFunction, j: int):
                 j + 1, format_lattice_point(n, h.den))
     limit = 2 ** (j + 1)
     for v in h.values:
-        if num_le(limit, v):
+        if limit <= v:
             continue
         if not _is_exact_pow2_leq(v, j):
             return False, "value %r below %d is not a power 2**j' with j' <= %d" % (
@@ -367,7 +367,7 @@ def is_type_level(h: StepFunction, j: int):
 
 def _is_exact_pow2_leq(v, j: int) -> bool:
     for jp in range(j + 1):
-        if num_le(2 ** jp, v) and num_le(v, 2 ** jp):
+        if v == 2 ** jp:
             return True
     return False
 

@@ -20,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exactnum import as_float, exact_sqrt, num_eq, num_le, num_max
+from .exactnum import exact_sqrt, value_to_json
 from .info import PointSet
 from .stepfn import StepFunction, grid_size, grid_width
 
@@ -34,7 +34,6 @@ __all__ = [
     "exceedance_measure",
     "menshov_bound_check",
     "m_grid",
-    "glue_blocks",
     "SIMPLE_FACTOR",
 ]
 
@@ -70,7 +69,7 @@ class OrthoVector:
 
     def __init__(self, body: StepFunction = None, ext: dict = None):
         self.body = body if body is not None else StepFunction.constant(0)
-        self.ext = {i: c for i, c in (ext or {}).items() if not num_eq(c, 0)}
+        self.ext = {i: c for i, c in (ext or {}).items() if c != 0}
 
     @classmethod
     def basis(cls, i: int, coeff=1) -> "OrthoVector":
@@ -109,10 +108,10 @@ class OrthoVector:
 
     def norm(self, exact: bool = False):
         s = self.norm_sq()
-        return exact_sqrt(s) if exact else math.sqrt(as_float(s))
+        return exact_sqrt(s) if exact else math.sqrt(float(s))
 
     def is_zero(self) -> bool:
-        return (not self.ext) and all(num_eq(v, 0) for v in self.body.values)
+        return (not self.ext) and all(v == 0 for v in self.body.values)
 
     def equals(self, other) -> bool:
         return (self - other).is_zero()
@@ -120,14 +119,13 @@ class OrthoVector:
     def body_support_in(self, lo, hi) -> bool:
         """True when the body vanishes outside (lo, hi]."""
         for plo, phi, v in self.body.pieces():
-            if num_eq(v, 0):
+            if v == 0:
                 continue
             if plo < Fraction(lo) or phi > Fraction(hi):
                 return False
         return True
 
     def to_json(self):
-        from .exactnum import value_to_json
         return {
             "body": self.body.to_json(),
             "ext": {str(i): value_to_json(c) for i, c in sorted(self.ext.items())},
@@ -207,8 +205,10 @@ def gram_check(X: OrthoProcess):
         for k in range(i + 1, len(ts)):
             d = X.vectors[ts[k]] - X.vectors[ts[i]]
             dev = d.norm_sq() - X.expected_increment_sq(ts[i], ts[k])
-            if not num_eq(dev, 0):
-                worst = num_max(worst, dev if num_le(0, dev) else -dev)
+            if dev != 0:
+                dev = dev if 0 <= dev else -dev
+                if worst <= dev:
+                    worst = dev
     return worst
 
 
@@ -244,8 +244,8 @@ def _max_abs_ext(vectors) -> dict:
     out = {}
     for v in vectors:
         for i, c in v.ext.items():
-            a = c if num_le(0, c) else -c
-            if i not in out or num_le(out[i], a):
+            a = c if 0 <= c else -c
+            if i not in out or out[i] <= a:
                 out[i] = a
     return out
 
@@ -263,7 +263,7 @@ def menshov_bound_check(vectors, tol: float = 1e-9):
     for i in range(n):
         for k in range(i + 1, n):
             ip = vectors[i].inner(vectors[k])
-            if abs(as_float(ip)) > tol:
+            if abs(float(ip)) > tol:
                 raise ValueError("vectors %d and %d are not orthogonal" % (i, k))
     partial = []
     acc = None
@@ -278,10 +278,10 @@ def menshov_bound_check(vectors, tol: float = 1e-9):
     for i, a in _max_abs_ext(partial).items():
         lhs = lhs + a * a
     k = math.log2(n) + 1
-    rhs = k * k * sum(as_float(v.norm_sq()) for v in vectors)
-    if as_float(lhs) > rhs * (1 + 1e-12) + 1e-12:
+    rhs = k * k * sum(float(v.norm_sq()) for v in vectors)
+    if float(lhs) > rhs * (1 + 1e-12) + 1e-12:
         raise AssertionError("maximal bound violated: %s > %s" % (lhs, rhs))
-    return as_float(lhs), rhs
+    return float(lhs), rhs
 
 
 def m_grid(X: OrthoProcess, B: PointSet, j: int):
@@ -408,17 +408,9 @@ class ProductProcess:
                 for t in blk.times:
                     val = blk.vectors[t].body.eval(fhi) + shift
                     if absolute:
-                        val = val if num_le(0, val) else -val
-                    mx = val if mx is None else num_max(mx, val)
-            if num_le(y, mx):
+                        val = val if 0 <= val else -val
+                    if mx is None or mx <= val:
+                        mx = val
+            if y <= mx:
                 total += measure
         return total
-
-
-def glue_blocks(blocks, cuts) -> ProductProcess:
-    """Assemble block processes over decreasing cut points.
-
-    The factor list is capped at 4; the blocks keep their own
-    coordinates, which is what makes the per-factor events independent.
-    """
-    return ProductProcess(blocks, cuts)

@@ -33,13 +33,8 @@ import math
 from fractions import Fraction
 
 from .exactnum import (
-    as_float,
     exact_sqrt,
     format_rational,
-    num_eq,
-    num_le,
-    num_max,
-    num_min,
     parse_rational,
     value_from_json,
     value_to_json,
@@ -91,6 +86,16 @@ def format_lattice_point(n: int, den: int) -> str:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _min(a, b):
+    return a if a <= b else b
+
+
+def _max(a, b):
+    """The larger value, b on a tie (``max(a, b)`` returns a): a tie of 1
+    with 1.0 gives 1.0, which decides the type of later sums."""
+    return b if a <= b else a
 
 
 def _weighted_sum(terms, den):
@@ -154,8 +159,8 @@ class StepFunction:
     breakpoints: strictly increasing Fractions in (0,1], last equal to 1;
     held as integer numerators over one reduced denominator (see the
     module docstring).
-    values: one per piece; rationals, floats, ``exactnum.RootSum`` field
-    elements, or exact sympy constants.
+    values: one per piece; ints, Fractions, floats or ``exactnum.RootSum``
+    field elements.
     Adjacent pieces with equal values are merged on construction, so two
     equal functions always have identical representations.
     """
@@ -187,7 +192,7 @@ class StepFunction:
             if n <= prev:
                 raise ValueError("breakpoints must be strictly increasing in (0,1]")
             prev = n
-            if cvals and num_eq(cvals[-1], v):
+            if cvals and cvals[-1] == v:
                 cnums[-1] = n
             else:
                 cnums.append(n)
@@ -273,38 +278,38 @@ class StepFunction:
     def min_value(self):
         out = self.values[0]
         for v in self.values[1:]:
-            out = num_min(out, v)
+            out = _min(out, v)
         return out
 
     def max_value(self):
         out = self.values[0]
         for v in self.values[1:]:
-            out = num_max(out, v)
+            out = _max(out, v)
         return out
 
     def is_nonnegative(self) -> bool:
-        return all(num_le(0, v) for v in self.values)
+        return all(0 <= v for v in self.values)
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
         return (self.den == other.den and self.nums == other.nums
                 and len(self.values) == len(other.values)
-                and all(num_eq(a, b) for a, b in zip(self.values, other.values)))
+                and all(a == b for a, b in zip(self.values, other.values)))
 
     def __hash__(self):
         return hash((self.den, self.nums))
 
     def approx_equal(self, other, tol=1e-9) -> bool:
         diff = pointwise(self, other, "-")
-        return all(abs(as_float(v)) <= tol for v in diff.values)
+        return all(abs(float(v)) <= tol for v in diff.values)
 
     def pointwise_le(self, other, tol=0) -> bool:
         other = _coerce(other)
         diff = pointwise(self, other, "-")
         if tol:
-            return all(as_float(v) <= tol for v in diff.values)
-        return all(num_le(v, 0) for v in diff.values)
+            return all(float(v) <= tol for v in diff.values)
+        return all(v <= 0 for v in diff.values)
 
     def __repr__(self):
         parts = ", ".join(
@@ -372,24 +377,24 @@ class StepFunction:
         return StepFunction.from_lattice(self.den, self.nums, [fn(v) for v in self.values])
 
     def minimum(self, other) -> "StepFunction":
-        return self._binary(_coerce(other), num_min)
+        return self._binary(_coerce(other), _min)
 
     def maximum(self, other) -> "StepFunction":
-        return self._binary(_coerce(other), num_max)
+        return self._binary(_coerce(other), _max)
 
     def abs(self) -> "StepFunction":
-        return self.map_values(lambda v: v if num_le(0, v) else -v)
+        return self.map_values(lambda v: v if 0 <= v else -v)
 
     def indicator_ge(self, c) -> "StepFunction":
         """Indicator of the level set (f >= c)."""
-        return self.map_values(lambda v: 1 if num_le(c, v) else 0)
+        return self.map_values(lambda v: 1 if c <= v else 0)
 
     def level_set_ge(self, c):
         """Maximal intervals (lo, hi] where f >= c."""
         runs = []
         prev = 0
         for n, v in zip(self.nums, self.values):
-            if num_le(c, v):
+            if c <= v:
                 if runs and runs[-1][1] == prev:
                     runs[-1][1] = n
                 else:
@@ -447,7 +452,7 @@ class StepFunction:
             v = va[ia] * vb[ib]
             if run_v is None:
                 run_v = v
-            elif not num_eq(run_v, v):
+            elif run_v != v:
                 terms.append((run_v, prev - run_lo))
                 run_v, run_lo = v, prev
             if x < y:
@@ -482,7 +487,7 @@ class StepFunction:
 
     def l2_norm(self, exact: bool = False):
         s = self.integral_sq()
-        return exact_sqrt(s) if exact else as_float(s) ** 0.5
+        return exact_sqrt(s) if exact else float(s) ** 0.5
 
     def measure_where(self, pred):
         """Lebesgue measure of the set where pred(value) holds."""
@@ -490,10 +495,10 @@ class StepFunction:
 
     def measure_ge(self, c):
         """Lebesgue measure of the level set (f >= c)."""
-        return self.measure_where(lambda v: num_le(c, v))
+        return self.measure_where(lambda v: c <= v)
 
     def measure_gt(self, c):
-        return self.measure_where(lambda v: not num_le(v, c))
+        return self.measure_where(lambda v: not v <= c)
 
     # -- serialization -------------------------------------------------
 
@@ -508,9 +513,6 @@ class StepFunction:
         bps = [parse_rational(b) for b in data["breakpoints"]]
         vals = [value_from_json(v) for v in data["values"]]
         return cls(bps, vals)
-
-    def as_float(self) -> "StepFunction":
-        return self.map_values(as_float)
 
 
 def _coerce(x) -> StepFunction:
@@ -543,8 +545,8 @@ def _sq_between(nums, values, k, lo, hi, den):
 _OPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
-    "min": num_min,
-    "max": num_max,
+    "min": _min,
+    "max": _max,
     "mul": lambda a, b: a * b,
 }
 
@@ -563,7 +565,7 @@ def clip_min(f: StepFunction, c) -> StepFunction:
 
 def pos_part(f: StepFunction, c=0) -> StepFunction:
     """(f - c)^+ pointwise."""
-    return f.map_values(lambda v: v - c if num_le(c, v) else 0 * v)
+    return f.map_values(lambda v: v - c if c <= v else 0 * v)
 
 
 def cond_norm(f: StepFunction, level: int, exact: bool = False) -> StepFunction:
@@ -594,7 +596,7 @@ def cond_norm(f: StepFunction, level: int, exact: bool = False) -> StepFunction:
     for idx in marked:
         lo = idx * w
         mean = _sq_between(nums, f.values, 1, lo, lo + w, den) / width
-        cell_rms[idx] = exact_sqrt(mean) if exact else as_float(mean) ** 0.5
+        cell_rms[idx] = exact_sqrt(mean) if exact else float(mean) ** 0.5
 
     # cut the function at marked-cell boundaries, then rewrite values
     cuts = set(nums)

@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from .exactnum import as_float, exact_sqrt, num_eq
+from .exactnum import exact_sqrt
 from .info import (
     PointSet,
     dyadic_floor,
@@ -196,16 +196,14 @@ def suite_step_algebra(seed=0, count=60):
 
 
 def _dense_v_composite(cells, j_lo, j_hi):
-    import numpy as np  # imported on use, so that importing the package does not load it
-    v = np.asarray(cells, dtype=float)
+    v = [float(x) for x in cells]
     for j in range(j_hi, j_lo - 1, -1):
-        size = grid_size(j)
-        per = len(v) // size
+        per = len(v) // grid_size(j)
         c = 2.0 ** j
-        clipped = np.minimum(v, c)
-        excess = np.maximum(v - c, 0.0)
-        means = (excess ** 2).reshape(size, per).mean(axis=1)
-        v = clipped + np.repeat(np.sqrt(means), per)
+        excess = [max(x - c, 0.0) for x in v]
+        rms = [math.sqrt(math.fsum(e * e for e in excess[k:k + per]) / per)
+               for k in range(0, len(v), per)]
+        v = [min(x, c) + rms[k // per] for k, x in enumerate(v)]
     return v
 
 
@@ -220,7 +218,7 @@ def suite_composite_oracle(seed=0, count=100):
         want = _dense_v_composite(cells, 0, 2)
         w = grid_width(2)
         for n in range(81):
-            gv = as_float(got.eval((n + 1) * w))
+            gv = float(got.eval((n + 1) * w))
             d = abs(gv - want[n])
             worst = max(worst, d)
             if d > TOL:
@@ -386,27 +384,35 @@ def suite_scalar_factor14(seed=0, count=100):
     """Discrete two-level comparison: with g >= g1 >= 2, g1 >= 4 where
     g >= 8, and the tail hypothesis, ||Vg - 1|| <= 14 ||Vg1 - 1|| for
     Vg = g^4 + ||(g-4)^+|| over a probability vector."""
-    import numpy as np
     rng = random.Random(seed)
     viol = 0
     skipped = 0
     for _ in range(count):
         n = rng.randrange(2, 11)
-        w = np.array([rng.random() + 1e-3 for _ in range(n)])
-        w /= w.sum()
-        g1 = np.array([2 + 18 * rng.random() for _ in range(n)])
-        g = g1 + np.array([8 * rng.random() for _ in range(n)])
-        A = g >= 8
-        g1 = np.where(A, np.maximum(g1, 4.0), g1)
-        lhs28 = math.sqrt(float((w * ((g - 2) ** 2) * A).sum()))
-        rhs28 = 14 * math.sqrt(float((w * ((g1 - 2) ** 2) * A).sum()))
+        w = [rng.random() + 1e-3 for _ in range(n)]
+        total = math.fsum(w)
+        w = [p / total for p in w]
+        g1 = [2 + 18 * rng.random() for _ in range(n)]
+        g = [x + 8 * rng.random() for x in g1]
+        A = [x >= 8 for x in g]
+        g1 = [max(x, 4.0) if a else x for x, a in zip(g1, A)]
+
+        def norm(x):
+            """The w-weighted L2 norm of the vector x."""
+            return math.sqrt(math.fsum(p * (y * y) for p, y in zip(w, x)))
+
+        lhs28 = norm([x - 2 if a else 0.0 for x, a in zip(g, A)])
+        rhs28 = 14 * norm([x - 2 if a else 0.0 for x, a in zip(g1, A)])
         if lhs28 > rhs28:
             skipped += 1
             continue
+
         def V(x):
-            return np.minimum(x, 4.0) + math.sqrt(float((w * np.maximum(x - 4, 0) ** 2).sum()))
-        lhs = math.sqrt(float((w * (V(g) - 1) ** 2).sum()))
-        rhs = 14 * math.sqrt(float((w * (V(g1) - 1) ** 2).sum()))
+            tail = norm([max(y - 4, 0.0) for y in x])
+            return [min(y, 4.0) + tail for y in x]
+
+        lhs = norm([y - 1 for y in V(g)])
+        rhs = 14 * norm([y - 1 for y in V(g1)])
         if lhs > rhs + TOL:
             viol += 1
     return {"instances": count, "violations": viol, "skipped": skipped}
@@ -557,7 +563,7 @@ def suite_floor_of_info_normal_form(seed=0, count=50):
     for _ in range(count):
         B = random_triadic_set(rng)
         h = info_fn(B, base=3).maximum(1)
-        hmax = as_float(h.max_value())
+        hmax = float(h.max_value())
         i = max(1, int(math.ceil(hmax)) - 1)
         if hmax > i + 1:
             i = int(math.ceil(hmax)) - 1
@@ -618,19 +624,19 @@ def suite_family_exactness(seed=0, count=3):
         fam = phi_family(k, chi)
         want = Fraction(3, 3 ** k)
         for i, u in enumerate(fam):
-            if not num_eq(u.norm_sq(), want):
+            if u.norm_sq() != want:
                 viol += 1
             for v in fam[i + 1:]:
-                if not num_eq(u.inner(v), 0):
+                if u.inner(v) != 0:
                     viol += 1
-            if not num_eq(u.body.integral(), 0):
+            if u.body.integral() != 0:
                 viol += 1
         total = fam[0]
         for u in fam[1:]:
             total = total + u
-        if not all(num_eq(v, 0) for v in total.body.values):
+        if not all(v == 0 for v in total.body.values):
             viol += 1
-        if not num_eq(total.ext.get(0, 0), exact_sqrt(3)):
+        if total.ext.get(0, 0) != exact_sqrt(3):
             viol += 1
         # running maxima match the digit-sum function exactly
         acc = None
@@ -646,7 +652,7 @@ def suite_family_exactness(seed=0, count=3):
         acc = OrthoVector()
         for n, u in enumerate(fam):
             mid_lo, mid_hi = n * cell, (n + 1) * cell
-            if not all(num_eq(v, 0) for v in u.body.restrict(mid_lo, mid_hi).values):
+            if not all(v == 0 for v in u.body.restrict(mid_lo, mid_hi).values):
                 viol += 1
             if not (acc.body.restrict(mid_lo, mid_hi)
                     == ds.restrict(mid_lo, mid_hi)):
@@ -682,7 +688,7 @@ def suite_process_gram(seed=0, count=3):
         out = build_divergent(B)
         rep = out["report"]
         if not (rep["starts_at_zero"] and rep["final_value_ok"]
-                and rep["membership_ok"] and num_eq(rep["gram_deviation"], 0)):
+                and rep["membership_ok"] and rep["gram_deviation"] == 0):
             viol += 1
         details[name] = {"y": out["achieved_y"], "eps": rep["achieved_eps"]}
     for k in (1, 2, 3):
@@ -712,8 +718,8 @@ def suite_cell_oscillation_bound(seed=0, count=2):
             tail = pos_part(v_composite(h, j, i, bar=True).final, Fraction(2) ** j)
             w = grid_width(j)
             for n, _body, nsq in m_grid(X, B, j):
-                lhs = math.sqrt(as_float(nsq))
-                rhs = 3 * math.sqrt(as_float(
+                lhs = math.sqrt(float(nsq))
+                rhs = 3 * math.sqrt(float(
                     tail.restrict(n * w, (n + 1) * w).integral_sq()))
                 if lhs > rhs + TOL:
                     viol += 1
@@ -731,23 +737,23 @@ def suite_cantor_tail(seed=0, count=13):
     for k in range(0, count):
         exact_sq = cantor_tail_norm_sq_oracle(k)
         closed_sq = Fraction(15) * Fraction(2, 3) ** k
-        if abs(as_float(exact_sq - closed_sq)) > 1e-15 * 20:
+        if abs(float(exact_sq - closed_sq)) > 1e-15 * 20:
             viol += 1
         integ = cantor_tail_integral_oracle(k)
         closed_i = Fraction(3) * Fraction(2, 3) ** k
-        if abs(as_float(integ - closed_i)) > 1e-15 * 20:
+        if abs(float(integ - closed_i)) > 1e-15 * 20:
             viol += 1
         # direct finite-depth check: gaps of generation <= depth plus the
         # clip value on the 2**depth surviving intervals
         depth = min(k + 6, 12)
         hk = pos_part(cantor_info_fn(depth, clip=depth), k)
-        direct = as_float(hk.integral())
+        direct = float(hk.integral())
         trunc = sum(
             (Fraction((m - k) * 2 ** (m - 1), 3 ** m)
              for m in range(k + 1, depth + 1)), start=ZERO)
         if depth > k:
             trunc += (depth - k) * Fraction(2, 3) ** depth
-        if abs(direct - as_float(trunc)) > 1e-12:
+        if abs(direct - float(trunc)) > 1e-12:
             viol += 1
     verdict = continuity_verdict("cantor", 0, [Fraction(1, 3)], depths=[6, 8, 10, 12])
     tr = verdict["windows"][0]["trace"]

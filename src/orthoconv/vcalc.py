@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import as_float, num_le, num_lt
 from .info import type_level_representation
 from .stepfn import StepFunction, cond_norm, grid_size, grid_width, pos_part
 
@@ -66,10 +65,10 @@ class VTrace:
     def to_json(self):
         return {
             "levels": [
-                {"j": j, "norm": as_float(n), "pieces": len(f.values)}
+                {"j": j, "norm": float(n), "pieces": len(f.values)}
                 for j, f, n in self.levels
             ],
-            "final_norm": as_float(self.norm),
+            "final_norm": float(self.norm),
             "stabilized_at": self.stabilized_at,
         }
 
@@ -103,11 +102,11 @@ def v_composite(h: StepFunction, j_lo: int, j_hi: int,
 
 def stabilization_level(h: StepFunction) -> int:
     """ceil(log2(max(h, 1))): V_j acts as the identity above this level."""
-    m = max(as_float(h.max_value()), 1.0)
+    m = max(float(h.max_value()), 1.0)
     i = max(0, math.ceil(math.log2(m)))
-    while not num_le(h.max_value(), 2 ** i):
+    while not h.max_value() <= 2 ** i:
         i += 1
-    while i > 0 and num_le(h.max_value(), 2 ** (i - 1)):
+    while i > 0 and h.max_value() <= 2 ** (i - 1):
         i -= 1
     return i
 
@@ -155,7 +154,7 @@ class BlockSelection:
                 raise AssertionError("block size %d != %d" % (len(blk), nu))
             m = min(self.a[k] for k in blk)
             for k in blk:
-                if not num_le(self.b[k], 2 * gain + m):
+                if not self.b[k] <= 2 * gain + m:
                     raise AssertionError("b_k exceeds 2**(i+1) + block min")
                 blocked.add(k)
         for k in range(len(self.a)):
@@ -168,11 +167,11 @@ class BlockSelection:
             if self.a[k] + gain - self.b[k] != self.c[k] + self.d[k]:
                 raise AssertionError("defect split broken at %d" % k)
             # d_k <= 2**-i (a_k + 2**i)
-            if not num_le(self.d[k] * gain, self.a[k] + gain):
+            if not self.d[k] * gain <= self.a[k] + gain:
                 raise AssertionError("d bound broken at %d" % k)
         csq = sum((x * x for x in self.c), start=Fraction(0))
         bound = Fraction(nu) * gain * gain * (gain + 1)
-        if not num_le(csq, bound):
+        if not csq <= bound:
             raise AssertionError("sum of c**2 exceeds the block budget")
         return True
 
@@ -189,15 +188,15 @@ def select_blocks(a, i: int) -> BlockSelection:
     if i < 1:
         raise ValueError("block selection needs level i >= 1")
     a = [Fraction(x) if isinstance(x, int) else x for x in a]
-    if any(num_lt(x, 0) for x in a):
+    if any(x < 0 for x in a):
         raise ValueError("entries must be nonnegative")
     K = len(a)
     gain = Fraction(2) ** i
     nu = grid_size(i - 1)
-    order = sorted(range(K), key=lambda k: (as_float(a[k]), k))
+    order = sorted(range(K), key=lambda k: (a[k], k))
     limit = Fraction(2) ** (2 * i)
     L = 0
-    while L < K and num_le(a[order[L]], limit):
+    while L < K and a[order[L]] <= limit:
         L += 1
     t = L // nu
     blocks = []
@@ -206,7 +205,7 @@ def select_blocks(a, i: int) -> BlockSelection:
         idx = order[s * nu:(s + 1) * nu]
         lo = a[idx[0]]
         hi = a[idx[-1]]
-        if num_le(hi - gain, lo):  # spread at most 2**i
+        if hi - gain <= lo:  # spread at most 2**i
             blocks.append(tuple(idx))
             blocked.update(idx)
     b, c, d = [], [], []
@@ -215,7 +214,7 @@ def select_blocks(a, i: int) -> BlockSelection:
             b.append(a[k] + gain)
             c.append(Fraction(0))
             d.append(Fraction(0))
-        elif num_le(a[k], limit):
+        elif a[k] <= limit:
             b.append(a[k])
             c.append(gain)
             d.append(Fraction(0))

@@ -221,7 +221,7 @@ def test_cantor_depth_budget_error(depth, capsys, monkeypatch):
 
 
 def test_front_door_does_not_import_sympy():
-    # sympy is imported only to convert sympy values, never on import
+    # sympy is imported only to write and read "sym:" text, never on import
     import subprocess
     import sys
     code = "import orthoconv.cli, sys; assert 'sympy' not in sys.modules"
@@ -229,7 +229,7 @@ def test_front_door_does_not_import_sympy():
 
 
 def test_front_door_does_not_import_numpy():
-    # numpy is imported only inside the verification suites that use it
+    # the package does not use numpy at all
     import subprocess
     import sys
     code = "import orthoconv.cli, sys; assert 'numpy' not in sys.modules"
@@ -248,3 +248,33 @@ def test_cantor_meaningless_window_is_data_error(argv, capsys):
     assert run_cli(["cantor", "--depth", "4"] + argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:")
+
+
+def _data_error(argv, capsys):
+    code = run_cli(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    return code == 2 and len(err) == 1 and err[0].startswith("data error:")
+
+
+@pytest.mark.parametrize("command", ["analyze", "measure"])
+def test_zero_denominator_in_file_is_data_error(command, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text('["1/0"]')
+    assert _data_error([command, str(src)], capsys)
+
+
+@pytest.mark.parametrize("y", ["1/0", "nan"])
+def test_construct_bad_threshold_is_data_error(y, capsys):
+    # --y is parsed with the other inputs, before any process is built
+    assert _data_error(["construct", "--grid", "1", "--y", y], capsys)
+
+
+def test_analyze_coefficient_above_float_range(tmp_path):
+    # the square 1e800 overflows a float; the normalized sequence does not
+    src = tmp_path / "huge.json"
+    src.write_text('["1e400"]')
+    out = tmp_path / "rep.json"
+    assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["notice"] == "input squares summed to inf; normalized"
+    assert rep["tail_set"] == ["0", "1"]

@@ -15,7 +15,7 @@ from orthoconv.construct import (
 from orthoconv.info import PointSet
 from orthoconv.ortho import IdAllocator, OrthoVector, maximal_function
 from orthoconv.stepfn import StepFunction
-from orthoconv.exactnum import num_eq
+from orthoconv.exactnum import exact_sqrt
 from orthoconv.suites import run_suite
 
 
@@ -52,9 +52,9 @@ def test_digit_sum():
 def test_family_norms_and_gram_k1():
     fam = phi_family(1, unit_chi())
     for i, u in enumerate(fam):
-        assert num_eq(u.norm_sq(), F(3, 3))
+        assert u.norm_sq() == F(3, 3)
         for v in fam[i + 1:]:
-            assert num_eq(u.inner(v), 0)
+            assert u.inner(v) == 0
 
 
 def test_family_hat_packet_inner_products():
@@ -105,10 +105,10 @@ def test_family_exactness_suite():
 def test_family_on_window():
     fam = phi_family(1, unit_chi(), window=(F(1, 3), F(2, 3)))
     for u in fam:
-        assert num_eq(u.norm_sq(), 1)
+        assert u.norm_sq() == 1
         assert u.body_support_in(F(1, 3), F(2, 3))
     tot = fam[0] + fam[1] + fam[2]
-    assert all(num_eq(v, 0) for v in tot.body.values)
+    assert all(v == 0 for v in tot.body.values)
 
 
 def test_family_rejects_bad_chi():
@@ -141,8 +141,7 @@ def test_bernstein_suite():
 def test_householder_family_exact():
     alloc = IdAllocator(10)
     head = unit_chi()
-    alphas = [sympy.sqrt(sympy.Rational(1, 2)), sympy.Rational(1, 2),
-              sympy.Rational(1, 2)]
+    alphas = [exact_sqrt(F(1, 2)), F(1, 2), F(1, 2)]
     fam = householder_family(head, alphas, alloc)
     for i, u in enumerate(fam):
         assert sympy.simplify(sympy.sympify(u.norm_sq()) - 1) == 0
@@ -184,7 +183,7 @@ def test_trivial_cert_conditions():
     cert = trivial_cert(B, 0, 1)
     rep = cert.verify_challenge(0, 1, unit_chi())
     assert rep["starts_at_zero"] and rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
     assert cert.y == 0
 
 
@@ -192,7 +191,7 @@ def test_trivial_cert_empty_window():
     B = PointSet([0, F(1, 2), 1])
     cert = trivial_cert(B, 0, 1)
     rep = cert.verify_challenge(F(1, 4), F(1, 4), unit_chi())
-    assert rep["final_value_ok"] and num_eq(rep["gram_deviation"], 0)
+    assert rep["final_value_ok"] and rep["gram_deviation"] == 0
     # bridge witnesses carry no body at all
     X = rep["process"]
     assert all(X.vectors[t].body == StepFunction.constant(0) for t in X.times)
@@ -201,10 +200,10 @@ def test_trivial_cert_empty_window():
 def test_grid_cert_k1():
     B = PointSet([0, F(1, 3), F(2, 3), 1])
     cert = grid_cert(B, 0, 1, 1)
-    assert num_eq(cert.y, 4)
+    assert cert.y == 4
     rep = cert.verify_challenge(0, 1, unit_chi())
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
     assert rep["good_measure"] == F(1, 3)
     assert rep["achieved_eps"] == pytest.approx(2 / 3)
     # the achieved failure measure even satisfies the asymptotic bound here
@@ -222,7 +221,7 @@ def test_grid_cert_refines_extra_points():
     cert = grid_cert(B, 0, 1, 1)
     rep = cert.verify_challenge(0, 1, unit_chi())
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
     assert F(1, 6) in rep["process"].vectors
 
 
@@ -230,7 +229,7 @@ def test_example_process_final_value():
     cert, rep = example_process(1, unit_chi())
     X = rep["process"]
     final = X.vectors[X.times[-1]]
-    target = (24 * sympy.sqrt(3)) * unit_chi()
+    target = (24 * exact_sqrt(3)) * unit_chi()
     assert final.equals(target)
     # increment norms: 3 * 24**2 * 3**-k
     t0, t1 = X.times[0], X.times[1]
@@ -244,7 +243,7 @@ def test_example_process_rescaled_window():
         B=PointSet([0, F(1, 4), F(5, 12), F(7, 12), F(3, 4), 1]),
         interval=(F(1, 4), F(3, 4)))
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
     assert sympy.simplify(sympy.sympify(cert.y) - 4 * sympy.sqrt(F(1, 2))) == 0
 
 
@@ -252,9 +251,9 @@ def test_merge_identity_single():
     B = PointSet([0, F(1, 3), F(2, 3), 1])
     cert = grid_cert(B, 0, 1, 1)
     merged = merge([cert])
-    assert num_eq(sympy.sympify(merged.y) ** 2, 16)
+    assert merged.y * merged.y == 16
     rep = merged.verify_challenge(0, 1, unit_chi())
-    assert rep["final_value_ok"] and num_eq(rep["gram_deviation"], 0)
+    assert rep["final_value_ok"] and rep["gram_deviation"] == 0
 
 
 def test_merge_two_equal_halves():
@@ -268,7 +267,7 @@ def test_merge_two_equal_halves():
     assert sympy.simplify(sympy.sympify(merged.y) - want) == 0
     rep = merged.verify_challenge(0, 1, unit_chi())
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
     # failure fraction no worse than the worst part
     sub1 = c1.verify_challenge(0, F(1, 2), unit_chi(1))
     assert rep["achieved_eps"] <= sub1["achieved_eps"] + 1e-9
@@ -291,12 +290,13 @@ def sympy_seeds():
     sympy.core.random.seed()
 
 
-def test_exact_zero_any_assumption_order(sympy_seeds):
+def test_exact_zero_any_assumption_order():
     # a Gram deviation of the merged certificate below; some query orders
-    # of sympy's is_zero on it raise InconsistentAssumptions
-    for s in sympy_seeds(200):
-        dev = -48 + 96 * (1 - 1 / (2 * (1 - sympy.sqrt(2) / 2))) ** 2
-        assert num_eq(dev, 0), s
+    # of sympy's is_zero on its sympy form raise InconsistentAssumptions,
+    # while field arithmetic reduces it to the rational 0
+    r = 1 - 1 / (2 * (1 - exact_sqrt(2) / 2))
+    dev = -48 + 96 * r * r
+    assert dev == 0 and type(dev) is F
 
 
 def test_merge_gram_exact_any_assumption_order(sympy_seeds):
@@ -327,10 +327,10 @@ def test_nest_three_gaps():
     subs = [trivial_cert(B, 0, F(1, 3)), trivial_cert(B, F(1, 3), F(2, 3)),
             trivial_cert(B, F(2, 3), 1)]
     cert = nest(1, subs)
-    assert num_eq(sympy.sympify(cert.y), 4)
+    assert cert.y == 4
     rep = cert.verify_challenge(0, 1, unit_chi())
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
     assert rep["good_measure"] == F(1, 3)
 
 
@@ -349,10 +349,10 @@ def test_corollary_union_form():
     B = PointSet(pts)
     c1 = grid_cert(B, 0, F(1, 2), 1)
     c2 = grid_cert(B, F(1, 2), 1, 1)
-    h = StepFunction.constant(c1.y / sympy.sqrt(F(1, 2)))
+    h = StepFunction.constant(c1.y / exact_sqrt(F(1, 2)))
     out = corollary_union([c1, c2], h)
     want_sq = (h * h).integral()
-    assert sympy.simplify(sympy.sympify(out.y) ** 2 - want_sq) == 0
+    assert out.y * out.y == want_sq
 
 
 def test_corollary_equal_blocks_form():
@@ -360,7 +360,7 @@ def test_corollary_equal_blocks_form():
     subs = [trivial_cert(B, 0, F(1, 3)), trivial_cert(B, F(1, 3), F(2, 3)),
             trivial_cert(B, F(2, 3), 1)]
     out = corollary_equal_blocks(1, subs, level_value=0)
-    assert num_eq(sympy.sympify(out.y), 4)
+    assert out.y == 4
 
 
 # -- the divergent-process builder -------------------------------------------
@@ -377,7 +377,7 @@ def test_build_divergent_base_set_is_rescaled_depth1():
     assert out["exceedance_at_achieved_y"] == F(1, 3)
     rep = out["report"]
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
     # matches the direct depth-1 grid construction exactly
     direct = grid_cert(PointSet([0, F(1, 3), F(2, 3), 1]), 0, 1, 1)
     m_direct = maximal_function(
@@ -392,7 +392,7 @@ def test_build_divergent_full_level1_grid():
     assert out["exceedance_at_target"] == F(5, 9)
     rep = out["report"]
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
 
 
 def test_build_divergent_rejects_bad_sets():
@@ -464,10 +464,10 @@ def test_nest_degenerate_passthrough():
     inner = grid_cert(B, 0, 1, 1)
     out = nest(0, [inner])
     # one part, depth zero: same threshold, conditions still verified
-    assert num_eq(sympy.sympify(out.y), sympy.sympify(inner.y))
+    assert out.y == inner.y
     rep = out.verify_challenge(0, 1, unit_chi())
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
 
 
 def test_nest_over_grid_children():
@@ -480,10 +480,9 @@ def test_nest_over_grid_children():
     B = PointSet(pts)
     subs = [grid_cert(B, F(b, 3), F(b + 1, 3), 1) for b in range(3)]
     out = nest(1, subs, B)
-    want = sympy.sqrt(3) * sympy.sympify(subs[0].y) + 4
-    assert sympy.simplify(sympy.sympify(out.y) - want) == 0
+    assert out.y == exact_sqrt(3) * subs[0].y + 4
     rep = out.verify_challenge(0, 1, unit_chi())
     assert rep["final_value_ok"] and rep["membership_ok"]
-    assert num_eq(rep["gram_deviation"], 0)
+    assert rep["gram_deviation"] == 0
     # outer digit term plus inner maxima decompose the assembled maximum
     assert rep["good_measure"] > 0

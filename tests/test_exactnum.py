@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orthoconv.exactnum import (
-    RootSum, exact_sqrt, num_eq, num_le, num_lt, sqrt_float, value_from_json,
+    RootSum, exact_sqrt, parse_rational, sqrt_float, value_from_json,
     value_to_json,
 )
 from orthoconv.stepfn import StepFunction
@@ -91,9 +91,9 @@ def test_zero_test_and_sign_match_oracle(a, b):
     (x, X), (y, Y) = a, b
     d = x - y
     s = oracle_sign(X - Y)
-    assert (d == 0) == (s == 0) == num_eq(x, y)
+    assert (d == 0) == (s == 0) == (x == y)
     assert isinstance(d, F) or d != 0
-    assert num_lt(x, y) == (s < 0) and num_le(x, y) == (s <= 0)
+    assert (x <= y) == (s <= 0) and (x > y) == (s > 0)
     assert (x < y) == (s < 0) and (x >= y) == (s >= 0)
 
 
@@ -109,7 +109,7 @@ def test_sign_near_zero_is_exact(a, bits):
     z = x - r
     assert oracle_sign(X - sympy.Rational(r.numerator, r.denominator)) == 1
     assert z > 0 and z.sign() == 1 and (-z).sign() == -1
-    assert num_lt(r, x) and not num_le(x, r)
+    assert r < x and not x <= r
     assert math.floor(z * 2 ** bits) == 0
 
 
@@ -163,6 +163,24 @@ def test_square_roots():
     assert r.terms == {3 * (2 ** 31 - 1): 12} and r * r == n
     with pytest.raises(ValueError):
         exact_sqrt(2 ** 61 - 1)  # squarefree part not provable by trial division
+    assert exact_sqrt(2.25) == 1.5
+    with pytest.raises(TypeError):
+        exact_sqrt(sympy.sqrt(2))  # the package makes no sympy values
+
+
+def test_json_reads_only_multiquadratic_sym_text():
+    assert value_from_json("sym:" + sympy.srepr(1 + sympy.sqrt(8))) == 1 + 2 * exact_sqrt(2)
+    for text in (sympy.srepr(sympy.pi), sympy.srepr(sympy.sqrt(sympy.pi)),
+                 sympy.srepr(sympy.cbrt(2))):
+        with pytest.raises(ValueError):
+            value_from_json("sym:" + text)
+
+
+def test_parse_rational_refuses_non_finite_input():
+    assert parse_rational(" 3/6 ") == F(1, 2) and parse_rational(0.5) == F(1, 2)
+    for bad in ("1/0", "nan", "inf", float("inf"), float("nan"), "x"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 # -- the fused inner product -------------------------------------------------

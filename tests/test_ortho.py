@@ -3,12 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
-import sympy
 
+from orthoconv.exactnum import exact_sqrt
 from orthoconv.info import PointSet
 from orthoconv.ortho import (
-    IdAllocator, OrthoProcess, OrthoVector, exceedance_measure,
-    glue_blocks, gram_check, m_grid, maximal_function, menshov_bound_check,
+    IdAllocator, OrthoProcess, OrthoVector, ProductProcess, exceedance_measure,
+    gram_check, m_grid, maximal_function, menshov_bound_check,
 )
 from orthoconv.stepfn import StepFunction
 from orthoconv.construct import phi_family, build_divergent
@@ -38,7 +38,7 @@ def test_basis_allocator():
 
 def test_unit_process_gram():
     e1, e2 = OrthoVector.basis(0), OrthoVector.basis(1)
-    half = sympy.sqrt(sympy.Rational(1, 2))
+    half = exact_sqrt(F(1, 2))
     X = OrthoProcess(
         [0, F(1, 2), 1],
         {F(0): OrthoVector(), F(1, 2): half * e1, F(1): half * e1 + half * e2},
@@ -133,15 +133,13 @@ def test_menshov_families():
 def test_m_grid_constant_cell_is_zero():
     B = PointSet([0, F(1, 3), F(2, 3), 1])
     vec = OrthoVector.basis(0)
+    third = exact_sqrt(F(1, 3))
     X = OrthoProcess(
         [0, F(1, 3), F(2, 3), 1],
         {F(0): OrthoVector(),
-         F(1, 3): vec * sympy.sqrt(sympy.Rational(1, 3)),
-         F(2, 3): vec * sympy.sqrt(sympy.Rational(1, 3))
-         + OrthoVector.basis(1) * sympy.sqrt(sympy.Rational(1, 3)),
-         F(1): vec * sympy.sqrt(sympy.Rational(1, 3))
-         + OrthoVector.basis(1) * sympy.sqrt(sympy.Rational(1, 3))
-         + OrthoVector.basis(2) * sympy.sqrt(sympy.Rational(1, 3))},
+         F(1, 3): vec * third,
+         F(2, 3): vec * third + OrthoVector.basis(1) * third,
+         F(1): vec * third + OrthoVector.basis(1) * third + OrthoVector.basis(2) * third},
         mode="unit")
     # no interior points: every cell is skipped
     assert m_grid(X, B, 0) == []
@@ -174,7 +172,7 @@ def test_glue_blocks_single_block_degenerate():
         acc = acc + u
         vecs[F(m + 1, 3)] = acc
     X = OrthoProcess(list(vecs), vecs, mode="unit")
-    pp = glue_blocks([X], [1, 0])
+    pp = ProductProcess([X], [1, 0])
     u, per = pp.oscillation_exceedance(1)
     assert per == [F(1, 3)]
     assert u == F(1, 3)
@@ -191,7 +189,7 @@ def test_glue_blocks_two_independent_copies():
             vecs[F(m + 1, 3)] = acc
         return OrthoProcess(list(vecs), vecs, mode="unit")
 
-    pp = glue_blocks([mk(), mk()], [1, F(1, 2), 0])
+    pp = ProductProcess([mk(), mk()], [1, F(1, 2), 0])
     union, per = pp.oscillation_exceedance(1)
     assert per == [F(1, 3), F(1, 3)]
     assert union == 1 - F(2, 3) ** 2  # = 5/9
@@ -199,8 +197,8 @@ def test_glue_blocks_two_independent_copies():
 
 def test_glue_blocks_budget_and_empty():
     with pytest.raises(ValueError):
-        glue_blocks([], [1, 0])
+        ProductProcess([], [1, 0])
     chi = OrthoVector.basis(0)
     X = OrthoProcess([0], {F(0): OrthoVector()}, mode="unit")
     with pytest.raises(ValueError):
-        glue_blocks([X] * 5, [1, F(4, 5), F(3, 5), F(2, 5), F(1, 5), 0])
+        ProductProcess([X] * 5, [1, F(4, 5), F(3, 5), F(2, 5), F(1, 5), 0])

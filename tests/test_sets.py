@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orthoconv.exactnum import num_le
 from orthoconv.info import PointSet, cantor_info_fn, cantor_points, info_fn
 from orthoconv.sets import (
     BASE_POINTS, CellPermutation, cantor_tail_integral_oracle,
@@ -398,6 +397,6 @@ def test_is_triadic_set_open_cell_witness(extra, witness):
 def test_cantor_info_fn_matches_clipped_info_fn(depth, clip):
     got = cantor_info_fn(depth, clip)
     want = info_fn(cantor_points(depth), base=3).map_values(
-        lambda v: v if num_le(v, clip) else clip)
+        lambda v: v if v <= clip else clip)
     assert (got.den, got.nums, got.values) == (want.den, want.nums, want.values)
     assert [type(v) for v in got.values] == [type(v) for v in want.values]

@@ -13,7 +13,6 @@ from orthoconv.info import info_fn, PointSet
 from orthoconv.suites import (
     run_suite, random_triadic_fn, _dense_v_composite,
 )
-from orthoconv.exactnum import as_float
 import random
 
 
@@ -72,11 +71,11 @@ def test_v_composite_identity_cases():
 def test_v_composite_matches_dense_oracle_simple():
     B = PointSet([0, F(1, 9), 1])
     h = info_fn(B, 3).maximum(1)
-    cells = [as_float(h.eval(F(n + 1, 81))) for n in range(81)]
+    cells = [float(h.eval(F(n + 1, 81))) for n in range(81)]
     want = _dense_v_composite(cells, 0, 2)
     got = v_composite(h, 0, 2).final
     for n in range(81):
-        assert as_float(got.eval(F(n + 1, 81))) == pytest.approx(want[n], abs=1e-9)
+        assert float(got.eval(F(n + 1, 81))) == pytest.approx(want[n], abs=1e-9)
 
 
 def test_v_functional_zero_and_constants():
@@ -139,6 +138,15 @@ def test_select_blocks_spread_rejects_block():
     assert len(sel.blocks) == 1
     members = sorted(sel.blocks[0])
     assert [sel.a[k] for k in members] == [0, 0, 0]
+    sel.check()
+
+
+def test_select_blocks_orders_entries_closer_than_float_resolution():
+    # 1 + e and 1 round to the same float; the block's true minimum is 1,
+    # so its spread is 2 + e > 2**1 and the run must not be selected
+    e = F(1, 10 ** 30)
+    sel = select_blocks([1 + e, 3 + e, F(1)], 1)
+    assert sel.blocks == []
     sel.check()
 
 
