@@ -57,6 +57,8 @@ def _read_coefficients(path: str) -> CoefficientSeq:
         data = json.loads(text)
         if isinstance(data, dict):
             data = data["coefficients"]
+        if not isinstance(data, list):
+            raise ValueError("coefficients must be a JSON list")
         return CoefficientSeq(data)
     # CSV, one value per line
     vals = [line.strip() for line in text.splitlines() if line.strip()]
@@ -86,6 +88,7 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return EXIT_DATA
+    # one tail set and one base-3 information function serve the whole report
     B = tail_set(seq)
     h = info_fn(B, base=3)
     h1 = h.maximum(1)
@@ -104,7 +107,8 @@ def cmd_analyze(args) -> int:
         "v_trace": trace.to_json(),
         "v_of_clipped_h": value,
         "clip_at_one": True,
-        "criteria": _jsonable(crit.full_report(seq, indicator=args.indicator)),
+        "criteria": _jsonable(crit.full_report(seq, indicator=args.indicator,
+                                               B=B, H=h)),
     }
     if _exact_mode():
         report["tail_set_exact"] = [format_rational(p) for p in B.points]
@@ -194,6 +198,9 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suite if args.suite else None
+    if args.count is not None and args.count <= 0:
+        print("usage error: --count must be positive", file=sys.stderr)
+        return EXIT_USAGE
     try:
         out = run_suites(names, seed=args.seed, count=args.count)
     except KeyError as e:

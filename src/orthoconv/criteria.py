@@ -47,7 +47,7 @@ def rm_weyl(seq: CoefficientSeq, r) -> dict:
         raise ValueError("weight list must match the sequence length")
     if any(b < a for a, b in zip(r, r[1:])) or any(x < 0 for x in r):
         raise ValueError("weights must be increasing and nonnegative")
-    weighted = sum(rn * float(sq) for rn, sq in zip(r, seq.squares))
+    weighted = sum(rn * sq for rn, sq in zip(r, seq.square_floats()))
     ratios = [r[n - 1] / (math.log2(n) ** 2) for n in range(2, len(r) + 1)]
     return {
         "weighted_sum": weighted,
@@ -62,42 +62,27 @@ def alpha_condition(seq: CoefficientSeq) -> float:
     if not seq.moduli_decreasing():
         raise ValueError("the distribution criterion needs decreasing |a_n|")
     total = 0.0
-    for sq in seq.squares:
-        s = float(sq)
+    for s in seq.square_floats():
         if s > 0:
             total += s * _log2_sq(math.sqrt(s))
     return total
 
 
-def _neg_log2_modulus(sq: Fraction):
-    """z = -log2 |a| from the exact square; exact Fraction for 2-power squares."""
-    if isinstance(sq, Fraction) and sq.numerator == 1:
-        d = sq.denominator
-        m = 0
-        while d % 2 == 0:
-            d //= 2
-            m += 1
-        if d == 1:
-            return Fraction(m, 2)
-    return _neg_log2_float(sq)
+def _nonzero_terms(seq: CoefficientSeq):
+    """(n, s, z, zf) for every nonzero term a_n, in order: s the float
+    square, z and zf as in ``CoefficientSeq.neg_log2_moduli``."""
+    return [(n, s, *zs) for n, (s, zs) in
+            enumerate(zip(seq.square_floats(), seq.neg_log2_moduli()), start=1)
+            if zs is not None]
 
 
-def _neg_log2_float(sq: Fraction) -> float:
-    """-log2 |a| = -0.5 log2(sq) as a float, also for squares below float range."""
-    return -0.5 * log_ratio(sq.numerator, sq.denominator, math.log2)
-
-
-def _beta_block(sq: Fraction):
+def _beta_block(z):
     """Block index i >= 1 with 2**-2**(i+1) <= |a| < 2**-2**i, else None.
 
     Lower-closed upper-open in |a| as printed, i.e. 2**i < z <= 2**(i+1)
-    for z = -log2 |a|.  Moduli >= 1/4 fall in no block (the residual
-    bucket); zero contributes nothing.  Exact 2-power boundaries are
-    classified exactly.
+    for z = -log2 |a| > 0.  Moduli >= 1/4 fall in no block (the residual
+    bucket).  Exact 2-power boundaries are classified exactly.
     """
-    if sq == 0:
-        return None
-    z = _neg_log2_modulus(sq)
     if z <= 2:
         return None
     i = 1
@@ -114,14 +99,11 @@ def beta_condition(seq: CoefficientSeq) -> dict:
     """
     blocks = {}
     residual = []
-    for n, sq in enumerate(seq.squares, start=1):
-        if sq == 0:
-            continue
-        i = _beta_block(sq)
+    for n, s, z, _ in _nonzero_terms(seq):
+        i = _beta_block(z)
         if i is None:
             residual.append(n)
             continue
-        s = float(sq)
         blocks.setdefault(i, 0.0)
         blocks[i] += s * _log2_sq(math.sqrt(s))
     terms = {i: math.sqrt(v) for i, v in sorted(blocks.items())}
@@ -148,27 +130,18 @@ def gamma_condition(seq: CoefficientSeq) -> dict:
     if any(c < 0 for c in seq.coeffs):
         raise ValueError("the slice criterion assumes a_n >= 0")
     imax = 0
-    zs = []
-    for sq in seq.squares:
-        if sq == 0:
-            zs.append(None)
-            continue
-        z = _neg_log2_float(sq)
-        zs.append(z)
+    sz = [(s, zf) for _, s, _, zf in _nonzero_terms(seq)]
+    for _, z in sz:
         if z > 2.0:
             imax = max(imax, int(math.ceil(math.log2(z))))
     terms = {}
     for i in range(1, imax + 1):
         tot = 0.0
-        for sq, z in zip(seq.squares, zs):
-            if z is None:
-                continue
-            tot += float(sq) * _slice(z, i) ** 2
+        for s, z in sz:
+            tot += s * _slice(z, i) ** 2
         if tot:
             terms[i] = math.sqrt(tot)
-    slice0 = math.sqrt(sum(
-        float(sq) * _slice(z, 0) ** 2
-        for sq, z in zip(seq.squares, zs) if z is not None) or 0.0)
+    slice0 = math.sqrt(sum(s * _slice(z, 0) ** 2 for s, z in sz) or 0.0)
     return {"terms": terms, "sum": sum(terms.values()), "slice0": slice0}
 
 
@@ -191,27 +164,22 @@ def sandwich_check(seq: CoefficientSeq) -> dict:
     weights = {}   # i -> sum of a_n**2 over the i-th z-block, i >= 1
     gamma_terms = {}
     beta_terms = {}
-    for sq in seq.squares:
-        if sq == 0:
-            continue
-        z = _neg_log2_modulus(sq)
+    terms = _nonzero_terms(seq)
+    for _, s, z, _ in terms:
         if z < 2:
             continue
         i = 1
         while z >= 2 ** (i + 1):
             i += 1
         weights.setdefault(i, 0.0)
-        weights[i] += float(sq)
+        weights[i] += s
         beta_terms.setdefault(i, 0.0)
-        beta_terms[i] += float(sq) * float(z) ** 2
+        beta_terms[i] += s * float(z) ** 2
     imax = max(weights) if weights else 0
     for i in range(1, imax + 1):
         tot = 0.0
-        for sq in seq.squares:
-            if sq == 0:
-                continue
-            z = _neg_log2_float(sq)
-            tot += float(sq) * _slice(z, i) ** 2
+        for _, s, _, zf in terms:
+            tot += s * _slice(zf, i) ** 2
         gamma_terms[i] = math.sqrt(tot)
     norm_sq = {i: weights.get(i, 0.0) for i in range(1, imax + 1)}
     tail = {}
@@ -243,8 +211,8 @@ def tandori_sum(seq: CoefficientSeq) -> dict:
     """
     blocks = {}
     below = []
-    for n, sq in enumerate(seq.squares, start=1):
-        if sq == 0:
+    for n, (num, s) in enumerate(zip(seq.nums, seq.square_floats()), start=1):
+        if not num:
             continue
         if n < 2:
             below.append(n)
@@ -253,25 +221,31 @@ def tandori_sum(seq: CoefficientSeq) -> dict:
         while 2 ** (2 ** (i + 1)) <= n:
             i += 1
         blocks.setdefault(i, 0.0)
-        blocks[i] += float(sq) * _log2_sq(n)
+        blocks[i] += s * _log2_sq(n)
     terms = {i: math.sqrt(v) for i, v in sorted(blocks.items())}
     return {"terms": terms, "sum": sum(terms.values()), "below_blocks": below}
 
 
-def theorem_conditions(seq: CoefficientSeq, indicator: str = "I") -> dict:
+def theorem_conditions(seq: CoefficientSeq, indicator: str = "I",
+                       B=None, H=None) -> dict:
     """The three information-function criteria for the tail partition.
 
     Uses the base-2 information function J of the tail set:
       alpha1 = ||J||,
       beta1  = sum_{i>=1} ||J 1_(2**i <= X < 2**(i+1))||  with X = J
-               (switch X to the base-3 function via indicator='H'),
+               (switch X to the base-3 function H via indicator='H'),
       gamma1 = sum_{i>=0} ||J_i|| over the standard slices.
+    A caller that has built the tail set B of ``seq`` or its base-3
+    information function H passes them in, and they are not rebuilt.
     """
-    seq = seq.normalized()
-    B = tail_set(seq)
+    if B is None:
+        B = tail_set(seq)
     J = info_fn(B, base=2)
     alpha1 = J.l2_norm()
-    X = J if indicator == "I" else info_fn(B, base=3)
+    if indicator == "I":
+        X = J
+    else:
+        X = info_fn(B, base=3) if H is None else H
     xmax = float(X.max_value())
     beta_terms = {}
     i = 1
@@ -329,15 +303,20 @@ def measure_criterion(atom_probs) -> dict:
     return {"terms": terms, "sum": sum(terms.values())}
 
 
-def full_report(seq: CoefficientSeq, indicator: str = "I") -> dict:
-    """All criteria bundled, as used by the analyze front end."""
+def full_report(seq: CoefficientSeq, indicator: str = "I", B=None, H=None) -> dict:
+    """All criteria bundled, as used by the analyze front end.
+
+    The criteria read the moduli of the normalized sequence.  B and H, the
+    tail set and its base-3 information function, are passed on to
+    ``theorem_conditions``.
+    """
     seq = seq.normalized()
     report = {
         "beta": beta_condition(seq),
         "gamma": gamma_condition(seq),
         "sandwich": sandwich_check(seq),
         "tandori": tandori_sum(seq),
-        "information": theorem_conditions(seq, indicator=indicator),
+        "information": theorem_conditions(seq, indicator=indicator, B=B, H=H),
     }
     if seq.moduli_decreasing():
         report["alpha"] = alpha_condition(seq)

@@ -445,12 +445,14 @@ def log_ratio(num: int, den: int, log=math.log) -> float:
 
     Takes the log of the correctly rounded float quotient, as
     ``log(float(Fraction(num, den)))`` would; where that quotient
-    underflows to 0, the log comes from the integer parts instead.
+    underflows to 0, the log comes from the integer parts of the reduced
+    fraction instead, so num / den need not be reduced.
     """
     q = num / den
     if q:
         return log(q)
-    return log(num) - log(den)
+    g = math.gcd(num, den)
+    return log(num // g) - log(den // g)
 
 
 def _compare(a, b) -> int:
@@ -463,11 +465,13 @@ def _compare(a, b) -> int:
 def parse_rational(s) -> Fraction:
     """Parse 'p/q', decimal strings, ints or floats into an exact Fraction.
 
-    Raises ValueError for anything that is not a finite rational, a zero
-    denominator or an infinite float included.
+    Raises ValueError for anything that is not a finite rational, a bool,
+    a zero denominator or an infinite float included.
     """
     if isinstance(s, Fraction):
         return s
+    if isinstance(s, bool):
+        raise ValueError("%r is not a rational" % (s,))
     try:
         return Fraction(s) if isinstance(s, (int, float)) else Fraction(str(s).strip())
     except (ZeroDivisionError, OverflowError):

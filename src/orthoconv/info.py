@@ -47,8 +47,12 @@ class CoefficientSeq:
     """Finite coefficient sequence with exact squares.
 
     Inputs may be Fractions, ints, floats, or strings like '1/3' or
-    '0.25'.  Squares and tail sums are kept as exact rationals; the
-    normalized form rescales the squares so they sum to 1 exactly.
+    '0.25'.  The squares are held on the integer lattice of ``stepfn``:
+    numerators ``nums`` over one reduced denominator ``den``.  ``squares``
+    gives them as Fractions, built on first access, and ``square_floats``
+    as floats, each ``n / den`` (correctly rounded, as ``float`` of the
+    Fraction is).  The normalized form puts the numerators over their sum,
+    so its squares sum to 1 exactly.
     """
 
     def __init__(self, coeffs):
@@ -56,8 +60,9 @@ class CoefficientSeq:
         if not vals:
             raise ValueError("empty coefficient sequence")
         self.coeffs = tuple(vals)
-        self.squares = tuple(c * c for c in vals)
-        self.total = sum(self.squares, start=ZERO)
+        # lcm(d_i)**2 = lcm(d_i**2), and it stays reduced for the squares
+        den, nums = lattice_of(vals)
+        self._set(den * den, [n * n for n in nums])
 
     @classmethod
     def from_squares(cls, squares):
@@ -69,27 +74,85 @@ class CoefficientSeq:
             raise ValueError("squares must be nonnegative")
         obj = cls.__new__(cls)
         obj.coeffs = tuple(float(s) ** 0.5 for s in sq)
-        obj.squares = tuple(sq)
-        obj.total = sum(sq, start=ZERO)
+        obj._set(*lattice_of(sq))
+        obj._squares = tuple(sq)
         return obj
+
+    def _set(self, den, nums):
+        self.den = den
+        self.nums = tuple(nums)
+        self._squares = None
+        self._floats = None
+        self._neg_log2 = None
+
+    @property
+    def squares(self):
+        if self._squares is None:
+            den = self.den
+            self._squares = tuple(Fraction(n, den) for n in self.nums)
+        return self._squares
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(sum(self.nums), self.den)
+
+    def square_floats(self):
+        if self._floats is None:
+            den = self.den
+            self._floats = tuple(n / den for n in self.nums)
+        return self._floats
+
+    def neg_log2_moduli(self):
+        """z = -log2 |a_n| per term, as ``(z, zf)``, or None for a zero term.
+
+        zf is the float -0.5 log2(n / den), computed as for the reduced
+        Fraction also where the square is below the float range; z is the
+        exact Fraction m/2 when the square is 2**-m, and zf otherwise.
+        """
+        if self._neg_log2 is None:
+            den = self.den
+            out = []
+            for n in self.nums:
+                if not n:
+                    out.append(None)
+                    continue
+                zf = -0.5 * log_ratio(n, den, math.log2)
+                z = zf
+                if den % n == 0:  # the reduced square is 1/d
+                    d = den // n
+                    if d & (d - 1) == 0:
+                        z = Fraction(d.bit_length() - 1, 2)
+                out.append((z, zf))
+            self._neg_log2 = tuple(out)
+        return self._neg_log2
 
     def __len__(self):
         return len(self.coeffs)
 
     def normalized(self) -> "CoefficientSeq":
-        """Rescale so that the squares sum to 1 exactly."""
-        if self.total == 0:
+        """Rescale so that the squares sum to 1 exactly.
+
+        The result's coefficients are the moduli |a_n|: every criterion
+        reads the squares only, and the slice criteria need a_n >= 0.
+        """
+        total = sum(self.nums)
+        if total == 0:
             raise ValueError("cannot normalize the zero sequence")
-        if self.total == 1:
+        if total == self.den and all(c >= 0 for c in self.coeffs):
             return self
-        return CoefficientSeq.from_squares([s / self.total for s in self.squares])
+        # the gcd of the numerators divides their sum; after it the lattice is reduced
+        g = math.gcd(*self.nums)
+        out = CoefficientSeq.__new__(CoefficientSeq)
+        out._set(total // g, [n // g for n in self.nums])
+        out.coeffs = tuple(s ** 0.5 for s in out.square_floats())
+        return out
 
     def is_normalized(self, tol=1e-12) -> bool:
         return abs(self.total - 1) <= tol
 
     def moduli_decreasing(self) -> bool:
-        return all(self.squares[i] >= self.squares[i + 1]
-                   for i in range(len(self.squares) - 1))
+        nums = self.nums
+        return all(nums[i] >= nums[i + 1] for i in range(len(nums) - 1))
 
 
 class PointSet:
@@ -188,17 +251,16 @@ class PointSet:
 def tail_set(seq: CoefficientSeq) -> PointSet:
     """Tail sums of the squared coefficients, plus 0, normalized to sum 1.
 
-    The squares go on their common denominator; the tails are then
+    The squares sit on their common denominator; the tails are then
     integers over the total, already monotone, and zero coefficients
     give repeated tails that are kept once.
     """
-    den, squares = lattice_of(seq.squares)
-    total = sum(squares)
+    total = sum(seq.nums)
     if total == 0:
         raise ValueError("cannot normalize the zero sequence")
     nums = [0]
     tail = 0
-    for s in reversed(squares):
+    for s in reversed(seq.nums):
         tail += s
         if tail != nums[-1]:
             nums.append(tail)

@@ -53,6 +53,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_REAL_TYPES = frozenset((int, Fraction, float))
 
 
 def grid_size(level: int) -> int:
@@ -101,17 +102,28 @@ def _max(a, b):
 def _weighted_sum(terms, den):
     """Sum of w * Fraction(n, den) over (w, n) in order, from Fraction(0).
 
-    Python's mixed arithmetic throughout, so the result has the type and,
-    for float weights, the rounding of summing those Fractions; a float
-    weight meets n / den, which is float(Fraction(n, den)) (both are
-    correctly rounded), instead of a reduced Fraction.  Rational weights
-    only: one Fraction over the lcm of their denominators, the same value.
+    The result has the type and, for float weights, the rounding of
+    summing those Fractions with Python's mixed arithmetic; a float weight
+    meets n / den, which is float(Fraction(n, den)) (both are correctly
+    rounded), instead of a reduced Fraction.  Rational weights only: one
+    Fraction over the lcm of their denominators, the same value.  Int,
+    Fraction and float weights: integer divisions, no Fraction per term.
     """
     terms = list(terms)
     if all(type(w) is int or type(w) is Fraction for w, _ in terms):
         lcm = math.lcm(*(w.denominator for w, _ in terms))
         return Fraction(sum(w.numerator * (lcm // w.denominator) * n for w, n in terms),
                         lcm * den)
+    if all(type(w) in _REAL_TYPES for w, _ in terms):
+        # the rational terms before the first float sum exactly; from there
+        # on the sum is a float, and a rational term adds its correctly
+        # rounded float, p*n / (q*den) for w = p/q, as a Fraction would
+        k = next(i for i, (w, _) in enumerate(terms) if type(w) is float)
+        total = float(_weighted_sum(terms[:k], den)) if k else 0.0
+        for w, n in terms[k:]:
+            total += (w * (n / den) if type(w) is float
+                      else (w.numerator * n) / (w.denominator * den))
+        return total
     total = ZERO
     for w, n in terms:
         total = total + (w * (n / den) if type(w) is float else w * Fraction(n, den))
@@ -525,8 +537,8 @@ def _rescale(nums, k: int):
     return nums if k == 1 else [n * k for n in nums]
 
 
-def _sq_between(nums, values, k, lo, hi, den):
-    """Integral of f**2 over (lo/den, hi/den], f's breakpoints at n*k/den."""
+def _pieces_between(nums, values, k, lo, hi):
+    """(value, length) of f's pieces over (lo, hi], breakpoints at n*k."""
     # piece i covers (nums[i-1], nums[i]]; lo sits strictly before its end,
     # or at it, which adds a zero-length term (as summing Fractions would)
     i = bisect.bisect_left(nums, _ceil_div(lo, k))
@@ -535,11 +547,29 @@ def _sq_between(nums, values, k, lo, hi, den):
     while pos < hi:
         end = nums[i] * k
         seg_hi = end if end < hi else hi
-        v = values[i]
-        terms.append((v * v, seg_hi - pos))
+        terms.append((values[i], seg_hi - pos))
         pos = seg_hi
         i += 1
-    return _weighted_sum(terms, den)
+    return terms
+
+
+def _sq_between(nums, values, k, lo, hi, den):
+    """Integral of f**2 over (lo/den, hi/den], f's breakpoints at n*k/den."""
+    return _weighted_sum([(v * v, n) for v, n in _pieces_between(nums, values, k, lo, hi)],
+                         den)
+
+
+def _exact_mean_sq(nums, values, lo, w):
+    """Mean of f**2 over the cell (lo, lo + w], float values taken exactly.
+
+    A float result if any value is a float, else the exact mean.  For
+    cells whose float width underflows to 0, where summing float pieces
+    of the unit interval and dividing by the width cannot work.
+    """
+    terms = _pieces_between(nums, values, 1, lo, lo + w)
+    mean = _weighted_sum([(Fraction(v) ** 2 if type(v) is float else v * v, n)
+                          for v, n in terms], w)
+    return float(mean) if any(type(v) is float for v, _ in terms) else mean
 
 
 _OPS = {
@@ -592,10 +622,15 @@ def cond_norm(f: StepFunction, level: int, exact: bool = False) -> StepFunction:
         if r and (not marked or marked[-1] != idx):
             marked.append(idx)
 
+    # from level 10 on (3**-1024) the float width is 0
+    tiny = not float(width)
     cell_rms = {}
     for idx in marked:
         lo = idx * w
-        mean = _sq_between(nums, f.values, 1, lo, lo + w, den) / width
+        if tiny:
+            mean = _exact_mean_sq(nums, f.values, lo, w)
+        else:
+            mean = _sq_between(nums, f.values, 1, lo, lo + w, den) / width
         cell_rms[idx] = exact_sqrt(mean) if exact else float(mean) ** 0.5
 
     # cut the function at marked-cell boundaries, then rewrite values

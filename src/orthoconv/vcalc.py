@@ -75,13 +75,13 @@ class VTrace:
 
 def v_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
     """(h ^ 2**j) + ||(h - 2**j)^+||_j."""
-    c = Fraction(2) ** j
+    c = 1 << j
     return h.minimum(c) + cond_norm(pos_part(h, c), j, exact=exact)
 
 
 def v_bar_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
     """(h ^ 2**j) + 2**j 1_(h >= 2**j) + ||(h - 2**(j+1))^+||_j."""
-    c = Fraction(2) ** j
+    c = 1 << j
     plateau = h.indicator_ge(c) * c
     return h.minimum(c) + plateau + cond_norm(pos_part(h, 2 * c), j, exact=exact)
 

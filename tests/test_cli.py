@@ -278,3 +278,83 @@ def test_analyze_coefficient_above_float_range(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["notice"] == "input squares summed to inf; normalized"
     assert rep["tail_set"] == ["0", "1"]
+
+
+@pytest.mark.parametrize("coefficients", ['["1", "1e-300"]', '["1e400", "1", "1e-400"]'])
+def test_analyze_cond_norm_cell_width_below_float_range(coefficients, tmp_path):
+    # the V trace reaches level 10, whose cell width 3**-1024 is 0.0 as a
+    # float; the cell means are taken on the integer lattice there
+    src = tmp_path / "in.json"
+    src.write_text(coefficients)
+    out = tmp_path / "rep.json"
+    assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["v_trace"]["stabilized_at"] >= 10
+    assert all(math.isfinite(x) for x in _numbers(rep))
+
+
+@pytest.mark.parametrize("text", [
+    '{"coefficients": 5}',
+    '{"coefficients": "1"}',
+    '{"coefficients": {"1": 1}}',
+])
+def test_analyze_coefficients_not_a_list_is_data_error(text, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text(text)
+    assert _data_error(["analyze", str(src)], capsys)
+
+
+@pytest.mark.parametrize("text", ['[true, 1]', '[1, false]', '[null]', '[[1]]',
+                                  '{"coefficients": [true]}'])
+def test_analyze_non_numeric_coefficient_is_data_error(text, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text(text)
+    assert _data_error(["analyze", str(src)], capsys)
+
+
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_verify_nonpositive_count_is_usage_error(count, capsys):
+    assert run_cli(["verify", "--suite", "sandwich", "--count", count]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize("signed, moduli", [
+    (["-1"], ["1"]),
+    (["-1/2", "1/2", "1/2", "1/2"], ["1/2", "1/2", "1/2", "1/2"]),
+    (["-1", "1"], ["1", "1"]),
+    (["1/8", "-1/8", "0", "-3/4"], ["1/8", "1/8", "0", "3/4"]),
+])
+def test_analyze_negative_coefficients_report_on_moduli(signed, moduli, tmp_path):
+    # normalized or not, the criteria read |a_n|: the same report as the moduli
+    reports = []
+    for name, coeffs in (("signed", signed), ("moduli", moduli)):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(coeffs))
+        out = tmp_path / (name + ".json")
+        assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("indicator", ["I", "H"])
+def test_analyze_builds_one_tail_set_and_one_base3_function(indicator, tmp_path, monkeypatch):
+    import orthoconv.cli as cli
+    import orthoconv.criteria as crit
+    calls = []
+
+    def counted(fn, label):
+        def wrapper(*args, **kwargs):
+            calls.append(label(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (cli, crit):
+        monkeypatch.setattr(mod, "tail_set", counted(mod.tail_set, lambda seq: "tail_set"))
+        monkeypatch.setattr(mod, "info_fn", counted(
+            mod.info_fn, lambda B, base=3: "info_fn base %d" % base))
+    src = tmp_path / "in.json"
+    src.write_text('["1/2", "1/3", "1/4", "1/5"]')
+    assert run_cli(["analyze", str(src), "--indicator", indicator,
+                    "--out", str(tmp_path / "rep.json")]) == 0
+    assert sorted(calls) == ["info_fn base 2", "info_fn base 3", "tail_set"]

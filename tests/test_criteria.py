@@ -3,13 +3,18 @@
 import math
 from fractions import Fraction as F
 
+import json
+
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from orthoconv.criteria import (
-    alpha_condition, beta_condition, gamma_condition, measure_criterion,
-    rm_weyl, sandwich_check, tandori_sum, theorem_conditions,
+    alpha_condition, beta_condition, full_report, gamma_condition,
+    measure_criterion, rm_weyl, sandwich_check, tandori_sum, theorem_conditions,
 )
-from orthoconv.info import CoefficientSeq
+from orthoconv.info import CoefficientSeq, info_fn, tail_set
+from orthoconv.stepfn import lattice_of
 from orthoconv.suites import run_suite
 
 
@@ -197,3 +202,247 @@ def test_measure_validates_distribution():
         measure_criterion([F(1, 2), F(1, 4)])
     with pytest.raises(ValueError):
         measure_criterion([F(1, 2), F(1, 2), F(0)])
+
+
+# -- oracle: the criteria on a tuple of Fraction squares, one Fraction and
+# one float per use, as they were before the squares moved to the lattice
+
+
+def o_log_ratio(num, den, log=math.log):
+    q = num / den
+    return log(q) if q else log(num) - log(den)
+
+
+def o_neg_log2_float(sq):
+    return -0.5 * o_log_ratio(sq.numerator, sq.denominator, math.log2)
+
+
+def o_neg_log2_modulus(sq):
+    if sq.numerator == 1:
+        d, m = sq.denominator, 0
+        while d % 2 == 0:
+            d //= 2
+            m += 1
+        if d == 1:
+            return F(m, 2)
+    return o_neg_log2_float(sq)
+
+
+def o_log2_sq(x):
+    return 0.0 if x == 0 else math.log2(x) ** 2
+
+
+def o_slice(z, i):
+    if i == 0:
+        return min(z, 2.0)
+    return min(z, 2.0 ** (i + 1)) - min(z, 2.0 ** i)
+
+
+def o_alpha(squares):
+    if not all(a >= b for a, b in zip(squares, squares[1:])):
+        return None
+    total = 0.0
+    for sq in squares:
+        s = float(sq)
+        if s > 0:
+            total += s * o_log2_sq(math.sqrt(s))
+    return total
+
+
+def o_beta(squares):
+    blocks, residual = {}, []
+    for n, sq in enumerate(squares, start=1):
+        if sq == 0:
+            continue
+        z = o_neg_log2_modulus(sq)
+        if z <= 2:
+            residual.append(n)
+            continue
+        i = 1
+        while z > 2 ** (i + 1):
+            i += 1
+        s = float(sq)
+        blocks.setdefault(i, 0.0)
+        blocks[i] += s * o_log2_sq(math.sqrt(s))
+    terms = {i: math.sqrt(v) for i, v in sorted(blocks.items())}
+    return {"terms": terms, "sum": sum(terms.values()), "residual_indices": residual}
+
+
+def o_gamma(squares):
+    imax, zs = 0, []
+    for sq in squares:
+        if sq == 0:
+            zs.append(None)
+            continue
+        z = o_neg_log2_float(sq)
+        zs.append(z)
+        if z > 2.0:
+            imax = max(imax, int(math.ceil(math.log2(z))))
+    terms = {}
+    for i in range(1, imax + 1):
+        tot = 0.0
+        for sq, z in zip(squares, zs):
+            if z is not None:
+                tot += float(sq) * o_slice(z, i) ** 2
+        if tot:
+            terms[i] = math.sqrt(tot)
+    slice0 = math.sqrt(sum(float(sq) * o_slice(z, 0) ** 2
+                           for sq, z in zip(squares, zs) if z is not None) or 0.0)
+    return {"terms": terms, "sum": sum(terms.values()), "slice0": slice0}
+
+
+def o_sandwich(squares):
+    weights, gamma_terms, beta_terms = {}, {}, {}
+    for sq in squares:
+        if sq == 0:
+            continue
+        z = o_neg_log2_modulus(sq)
+        if z < 2:
+            continue
+        i = 1
+        while z >= 2 ** (i + 1):
+            i += 1
+        weights.setdefault(i, 0.0)
+        weights[i] += float(sq)
+        beta_terms.setdefault(i, 0.0)
+        beta_terms[i] += float(sq) * float(z) ** 2
+    imax = max(weights) if weights else 0
+    for i in range(1, imax + 1):
+        tot = 0.0
+        for sq in squares:
+            if sq != 0:
+                tot += float(sq) * o_slice(o_neg_log2_float(sq), i) ** 2
+        gamma_terms[i] = math.sqrt(tot)
+    norm_sq = {i: weights.get(i, 0.0) for i in range(1, imax + 1)}
+    tail, running = {}, 0.0
+    for i in range(imax, 0, -1):
+        running += norm_sq[i]
+        tail[i] = running
+    rng = range(1, imax + 1)
+    return {
+        "A_minus": sum(2.0 ** i * math.sqrt(tail.get(i + 1, 0.0)) for i in rng),
+        "A_plus": sum(2.0 ** i * math.sqrt(tail.get(i, 0.0)) for i in rng),
+        "B_minus": sum(2.0 ** i * math.sqrt(norm_sq[i]) for i in rng),
+        "B_plus": sum(2.0 ** (i + 1) * math.sqrt(norm_sq[i]) for i in rng),
+        "gamma_sum": sum(gamma_terms.values()),
+        "beta_sum_zblocks": sum(math.sqrt(v) for v in beta_terms.values()),
+    }
+
+
+def o_tandori(squares):
+    blocks, below = {}, []
+    for n, sq in enumerate(squares, start=1):
+        if sq == 0:
+            continue
+        if n < 2:
+            below.append(n)
+            continue
+        i = 0
+        while 2 ** (2 ** (i + 1)) <= n:
+            i += 1
+        blocks.setdefault(i, 0.0)
+        blocks[i] += float(sq) * o_log2_sq(n)
+    terms = {i: math.sqrt(v) for i, v in sorted(blocks.items())}
+    return {"terms": terms, "sum": sum(terms.values()), "below_blocks": below}
+
+
+def o_tail_points(squares):
+    den, nums = lattice_of(squares)
+    total = sum(nums)
+    tails, tail = [F(0)], 0
+    for s in reversed(nums):
+        tail += s
+        if F(tail, total) != tails[-1]:
+            tails.append(F(tail, total))
+    return tuple(tails)
+
+
+def bits(x):
+    """JSON text of a report: equal text means equal keys, types and float bits."""
+    return json.dumps(x, sort_keys=True)
+
+
+# tiny values have squares far below the float range; 2**-k coefficients
+# have 2-power squares; several are already normalized together
+TINY = [F(1, 10 ** 300), F(3, 10 ** 301), F(1, 2 ** 700), F(5, 3 ** 900)]
+coefficients = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+    st.sampled_from(TINY),
+    st.integers(min_value=0, max_value=40).map(lambda k: F(1, 2 ** k)),
+    st.integers(min_value=0, max_value=40).map(lambda k: F(-1, 2 ** k)),
+)
+squares = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=0, max_value=4, max_denominator=10 ** 6),
+    st.sampled_from([F(1, 10 ** 600), F(7, 10 ** 650), F(1, 2 ** 2200)]),
+    st.integers(min_value=0, max_value=90).map(lambda m: F(1, 2 ** m)),
+)
+# squares already summing to 1: weights over their sum, or halving splits
+normalized_squares = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20)
+    .filter(sum).map(lambda w: [F(x, sum(w)) for x in w]),
+    st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=20)
+    .map(lambda ks: [F(1, 2 ** k) for k in ks] + [1 - sum(F(1, 2 ** k) for k in ks)])
+    .filter(lambda sq: sq[-1] >= 0),
+)
+
+
+def check_against_oracle(seq, want_squares):
+    """seq holds want_squares; its criteria match the Fraction oracle bit for bit."""
+    assert seq.squares == tuple(want_squares)
+    assert seq.total == sum(want_squares, start=F(0))
+    assert [F(n, seq.den) for n in seq.nums] == list(want_squares)
+    assert math.gcd(seq.den, *seq.nums) == 1
+    assert seq.square_floats() == tuple(float(s) for s in want_squares)
+    if seq.total == 0:
+        return
+    assert tail_set(seq).points == o_tail_points(want_squares)
+    norm = seq.normalized()
+    total = sum(want_squares, start=F(0))
+    osq = [s / total for s in want_squares]
+    assert norm.squares == tuple(osq) and norm.total == 1
+    assert math.gcd(norm.den, *norm.nums) == 1
+    assert repr(norm.neg_log2_moduli()) == repr(tuple(
+        None if s == 0 else (o_neg_log2_modulus(s), o_neg_log2_float(s)) for s in osq))
+    assert all(c >= 0 for c in norm.coeffs)
+    assert tail_set(norm) == tail_set(seq)
+    assert bits(beta_condition(norm)) == bits(o_beta(osq))
+    assert bits(gamma_condition(norm)) == bits(o_gamma(osq))
+    assert bits(sandwich_check(norm)) == bits(o_sandwich(osq))
+    assert bits(tandori_sum(norm)) == bits(o_tandori(osq))
+    want_alpha = o_alpha(osq)
+    got_alpha = alpha_condition(norm) if norm.moduli_decreasing() else None
+    assert bits(got_alpha) == bits(want_alpha)
+
+
+@given(st.lists(coefficients, min_size=1, max_size=24))
+@settings(max_examples=150, deadline=None)
+def test_lattice_sequence_matches_fraction_oracle(coeffs):
+    check_against_oracle(CoefficientSeq(coeffs), [c * c for c in coeffs])
+
+
+@given(st.one_of(st.lists(squares, min_size=1, max_size=24), normalized_squares))
+@settings(max_examples=150, deadline=None)
+def test_lattice_squares_match_fraction_oracle(sq):
+    check_against_oracle(CoefficientSeq.from_squares(sq), sq)
+
+
+def test_neg_log2_below_float_range_reads_the_reduced_square():
+    # on the lattice 30*10**400 the square 1/10**401 has numerator 3; its
+    # float underflows, and the logs of 3 and 30*10**400 would differ in the
+    # last bit from those of the reduced 1 and 10**401
+    d = 10 ** 400
+    sq = [F(1, 10 * d), F(1, 15 * d), 1 - F(1, 10 * d) - F(1, 15 * d)]
+    seq = CoefficientSeq.from_squares(sq)
+    assert (seq.den, seq.nums[0]) == (30 * d, 3)
+    check_against_oracle(seq, sq)
+
+
+def test_full_report_reuses_a_given_tail_set():
+    seq = seq_from_squares([F(1, 2), F(1, 8), F(1, 8), F(1, 4)])
+    B = tail_set(seq)
+    H = info_fn(B, base=3)
+    for indicator in ("I", "H"):
+        want = full_report(seq, indicator=indicator)
+        assert full_report(seq, indicator=indicator, B=B, H=H) == want

@@ -3,8 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from orthoconv.stepfn import StepFunction
+from orthoconv.exactnum import exact_sqrt
+from orthoconv.stepfn import StepFunction, cond_norm, pos_part
 from orthoconv.vcalc import (
     select_blocks, stabilization_level, type_reduction, v_bar_step,
     v_composite, v_functional, v_step,
@@ -219,3 +222,60 @@ def test_scalar_factor14_suite():
 def test_slice_triangle_suite():
     r = run_suite("slice_triangle", seed=0, count=60)
     assert r["passed"], r
+
+
+# -- oracle: one level with the threshold 2**j as a Fraction, as before it
+# became the int 1 << j
+
+
+def o_v_step(h, j, exact=False):
+    c = F(2) ** j
+    return h.minimum(c) + cond_norm(pos_part(h, c), j, exact=exact)
+
+
+def o_v_bar_step(h, j, exact=False):
+    c = F(2) ** j
+    plateau = h.indicator_ge(c) * c
+    return h.minimum(c) + plateau + cond_norm(pos_part(h, 2 * c), j, exact=exact)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the type of the exception raised instead."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, TypeError) as e:
+        return type(e)
+
+
+SQRT2, SQRT3 = exact_sqrt(2), exact_sqrt(3)
+v_values = st.one_of(
+    st.integers(min_value=0, max_value=20),
+    st.fractions(min_value=0, max_value=20, max_denominator=64),
+    st.floats(min_value=0, max_value=20, allow_nan=False),
+    st.builds(lambda a, b: a + b * SQRT2,
+              st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=5)),
+    st.integers(min_value=0, max_value=9).map(lambda k: k * SQRT3 / 2),
+)
+# breakpoints on triadic lattices, where cells hold one value, and on others
+v_breakpoints = st.one_of(
+    st.integers(min_value=1, max_value=80).map(lambda n: F(n, 81)),
+    st.fractions(min_value=0, max_value=1, max_denominator=200).filter(lambda x: 0 < x < 1),
+)
+
+
+@st.composite
+def v_step_functions(draw, vals):
+    bps = sorted(set(draw(st.lists(v_breakpoints, max_size=6))) | {F(1)})
+    return StepFunction(bps, draw(st.lists(vals, min_size=len(bps), max_size=len(bps))))
+
+
+@given(st.one_of(
+    v_step_functions(st.integers(min_value=0, max_value=20)),
+    v_step_functions(st.fractions(min_value=0, max_value=20, max_denominator=64)),
+    v_step_functions(st.floats(min_value=0, max_value=20, allow_nan=False)),
+    v_step_functions(v_values)),
+    st.integers(min_value=0, max_value=4), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_int_threshold_matches_fraction_threshold(h, j, exact):
+    assert outcome(v_step, h, j, exact=exact) == outcome(o_v_step, h, j, exact=exact)
+    assert outcome(v_bar_step, h, j, exact=exact) == outcome(o_v_bar_step, h, j, exact=exact)
