@@ -93,12 +93,13 @@ def cmd_analyze(args) -> int:
     h = info_fn(B, base=3)
     h1 = h.maximum(1)
     value, trace = v_functional(h1)
+    tail = B.to_json()
     report = {
         "command": "analyze",
         "flags": {"input": args.input, "indicator": args.indicator,
                   "base": 3, "seed": args.seed},
         "notice": notice,
-        "tail_set": B.to_json(),
+        "tail_set": tail,
         "information_function": {
             "pieces": len(h.values),
             "max": float(h.max_value()),
@@ -111,7 +112,7 @@ def cmd_analyze(args) -> int:
                                                B=B, H=h)),
     }
     if _exact_mode():
-        report["tail_set_exact"] = [format_rational(p) for p in B.points]
+        report["tail_set_exact"] = tail
     _dump(report, args.out)
     return EXIT_OK
 
@@ -130,7 +131,7 @@ def _jsonable(x):
 
 def cmd_construct(args) -> int:
     from .construct import phi_family, build_divergent
-    from .ortho import OrthoVector
+    from .ortho import OrthoVector, gram_matrix
     if args.k is not None:
         if not 0 <= args.k <= 7:
             print("budget error: depth must be in 0..7", file=sys.stderr)
@@ -139,9 +140,11 @@ def cmd_construct(args) -> int:
         fam = phi_family(args.k, chi)
         cell = _jsonable if _exact_mode() else float
         gram = [[None] * len(fam) for _ in fam]
-        for i, u in enumerate(fam):
-            for j in range(i, len(fam)):  # inner products are symmetric
-                gram[i][j] = gram[j][i] = cell(u.inner(fam[j]))
+        # each exact entry becomes its cell as it comes, so no n x n matrix
+        # of exact values is held
+        for i, row in enumerate(gram_matrix(fam)):
+            for j, g in enumerate(row, i):
+                gram[i][j] = gram[j][i] = cell(g)
         report = {
             "command": "construct",
             "flags": {"k": args.k, "seed": args.seed},

@@ -281,7 +281,9 @@ def _gap_log_value(gap: int, den: int, base: int):
             e += 1
         if d == 1:
             return e
-    return -log_ratio(gap, den) / math.log(base)
+    # a quotient that rounds to 1.0 gives log 0.0, and -0.0 is not an
+    # information value: ``or`` turns it into 0.0
+    return -log_ratio(gap, den) / math.log(base) or 0.0
 
 
 def info_fn(B: PointSet, base: int = 3) -> StepFunction:

@@ -6,7 +6,8 @@ coordinate vector over an abstract orthonormal family indexed by
 integers.  Abstract coordinates are realized as unit vectors with
 mutually disjoint supports off [0,1); under that representation contract
 pointwise maxima on [0,1) come from the body part alone, while every
-norm and inner product includes the external part.
+norm and inner product includes the external part.  Gram matrices of
+exact vectors come from one integer kernel, :func:`gram_matrix`.
 
 An :class:`OrthoProcess` maps the points of a time set to vectors with
 prescribed increment norms: ``unit`` scaling means
@@ -19,8 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
-from .exactnum import exact_sqrt, value_to_json
+from .exactnum import RootSum, exact_sqrt, value_to_json
 from .info import PointSet
 from .stepfn import StepFunction, grid_size, grid_width
 
@@ -29,6 +31,7 @@ __all__ = [
     "IdAllocator",
     "OrthoProcess",
     "ProductProcess",
+    "gram_matrix",
     "gram_check",
     "maximal_function",
     "exceedance_measure",
@@ -104,7 +107,8 @@ class OrthoVector:
         return total
 
     def norm_sq(self):
-        return self.inner(self)
+        (row,) = gram_matrix([self])
+        return row[0]
 
     def norm(self, exact: bool = False):
         s = self.norm_sq()
@@ -192,19 +196,147 @@ class OrthoProcess:
         }
 
 
+def _parts(x):
+    """(squarefree key, rational coefficient) pairs of an exact value, with
+    sum of q * sqrt(d) equal to x; None for a float or any other type."""
+    t = type(x)
+    if t is int or t is Fraction:
+        return ((1, x),) if x else ()
+    if t is RootSum:
+        return x.terms.items()
+    return None
+
+
+def _key_product(d1: int, d2: int):
+    """(d, g) with sqrt(d1) * sqrt(d2) = g * sqrt(d), for squarefree keys."""
+    g = math.gcd(d1, d2)
+    return (d1 // g) * (d2 // g), g
+
+
+def _entry(acc: dict, den: int):
+    """The value sum of acc[d] / den * sqrt(d): a Fraction when rational."""
+    rational = acc.pop(1, 0)
+    q = Fraction(rational, den) if rational else ZERO
+    terms = {d: Fraction(s, den) for d, s in acc.items() if s}
+    if not terms:
+        return q
+    if rational:
+        terms[1] = q
+    return RootSum._new(terms)
+
+
+def gram_matrix(vectors):
+    """Upper triangle of the Gram matrix, one row at a time.
+
+    Yields, for each i, the list of ``vectors[i].inner(vectors[j])`` for
+    j = i..n-1, equal in value and type to those pairwise inner products.
+    Exact vectors (int, Fraction and RootSum values) are computed on
+    integers: the bodies sit on one lattice 1/D, every value is split into
+    its squarefree components with int numerators over one denominator Q,
+    and an entry collects, for each pair of keys, the integral of the
+    product of the two components plus D times the dot product of their
+    external maps, all in units of 1/(Q*Q*D).  The body integral of u*v is
+    the sum over v's breakpoints of the prefix integral of u times the jump
+    of v there.  One Fraction (or RootSum) is built per entry.  A list
+    holding any other value, such as a float, is computed pairwise with
+    ``OrthoVector.inner``, which fixes how floats round.
+    """
+    vectors = list(vectors)
+    bodies, exts = [], []
+    for v in vectors:
+        body = [_parts(a) for a in v.body.values]
+        ext = [(i, _parts(c)) for i, c in v.ext.items()]
+        if any(p is None for p in body) or any(p is None for _, p in ext):
+            for i, u in enumerate(vectors):
+                yield [u.inner(w) for w in vectors[i:]]
+            return
+        bodies.append(body)
+        exts.append(ext)
+    D = math.lcm(*(v.body.den for v in vectors))
+    Q = math.lcm(*{q.denominator for parts in bodies for p in parts for _, q in p},
+                 *{q.denominator for ext in exts for _, p in ext for _, q in p})
+    nums = [[n * (D // v.body.den) for n in v.body.nums] for v in vectors]
+    points = sorted({0}.union(*nums))
+    where = {n: m for m, n in enumerate(points)}
+    lengths = [b - a for a, b in zip(points, points[1:])]
+
+    # per vector and key: piece values, the jumps at breakpoints (point
+    # indices and int jumps) and the external map
+    pieces, jumps, coords = [], [], []
+    for ns, body, ext in zip(nums, bodies, exts):
+        ends = [where[n] for n in ns]
+        keyed = {}
+        for k, parts in enumerate(body):
+            for d, q in parts:
+                keyed.setdefault(d, [0] * len(ends))[k] = q.numerator * (Q // q.denominator)
+        pieces.append((ends, keyed))
+        col = []
+        for d, vals in keyed.items():
+            idx, steps = [], []
+            for m, a, b in zip(ends, vals, vals[1:] + [0]):
+                if a != b:
+                    idx.append(m)
+                    steps.append(a - b)
+            col.append((d, idx, steps))
+        jumps.append(col)
+        keyed_ext = {}
+        for i, parts in ext:
+            for d, q in parts:
+                keyed_ext.setdefault(d, {})[i] = q.numerator * (Q // q.denominator)
+        coords.append(list(keyed_ext.items()))
+
+    den = Q * Q * D
+    zeros = itertools.repeat(0)
+    for i, (ends, keyed) in enumerate(pieces):
+        prefix = []  # (key, lookup of the prefix integral at a point index)
+        for d, vals in keyed.items():
+            dense, prev = [], 0
+            for m, a in zip(ends, vals):
+                dense += [a] * (m - prev)
+                prev = m
+            F = list(itertools.accumulate(map(mul, dense, lengths), initial=0))
+            prefix.append((d, F.__getitem__))
+        ext_i = [(d, e.get) for d, e in coords[i]]
+        row = []
+        for col, ext_j in zip(jumps[i:], coords[i:]):
+            acc = {}
+            for d1, at in prefix:
+                for d2, idx, steps in col:
+                    s = sum(map(mul, map(at, idx), steps))
+                    if s:
+                        d, g = _key_product(d1, d2)
+                        acc[d] = acc.get(d, 0) + g * s
+            for d1, get in ext_i:
+                for d2, e in ext_j:
+                    # row i's coefficient at each id of e, 0 where it has none
+                    s = sum(map(mul, map(get, e, zeros), e.values()))
+                    if s:
+                        d, g = _key_product(d1, d2)
+                        acc[d] = acc.get(d, 0) + g * D * s
+            row.append(_entry(acc, den))
+        yield row
+
+
 def gram_check(X: OrthoProcess):
     """Largest deviation |  ||X(t)-X(s)||**2 - expected  | over all pairs.
 
     Exact zero is achievable (and asserted in tests) for constructed
     processes; returns the deviation as an exact number when possible
-    (the Fraction 0 when every pair matches).
+    (the Fraction 0 when every pair matches).  The squared increment norm
+    is G[k][k] + G[i][i] - 2 G[i][k] from the Gram matrix of the process,
+    which for exact vectors is the value of the pairwise difference, and
+    the expected value is additive in time in both modes.
     """
     worst = ZERO
     ts = X.times
-    for i in range(len(ts)):
+    rows = list(gram_matrix([X.vectors[t] for t in ts]))
+    expected = [X.expected_increment_sq(ts[0], t) for t in ts]
+    # deviation(i, k) = (G[k][k] - E[k]) + (G[i][i] + E[i]) - 2 G[i][k]
+    ahead = [row[0] - e for row, e in zip(rows, expected)]
+    for i, row in enumerate(rows):
+        behind = row[0] + expected[i]
         for k in range(i + 1, len(ts)):
-            d = X.vectors[ts[k]] - X.vectors[ts[i]]
-            dev = d.norm_sq() - X.expected_increment_sq(ts[i], ts[k])
+            dev = ahead[k] + behind - 2 * row[k - i]
             if dev != 0:
                 dev = dev if 0 <= dev else -dev
                 if worst <= dev:
@@ -260,9 +392,10 @@ def menshov_bound_check(vectors, tol: float = 1e-9):
     n = len(vectors)
     if n == 0:
         raise ValueError("need at least one vector")
-    for i in range(n):
-        for k in range(i + 1, n):
-            ip = vectors[i].inner(vectors[k])
+    norms = []
+    for i, row in enumerate(gram_matrix(vectors)):
+        norms.append(row[0])
+        for k, ip in enumerate(row[1:], i + 1):
             if abs(float(ip)) > tol:
                 raise ValueError("vectors %d and %d are not orthogonal" % (i, k))
     partial = []
@@ -278,7 +411,7 @@ def menshov_bound_check(vectors, tol: float = 1e-9):
     for i, a in _max_abs_ext(partial).items():
         lhs = lhs + a * a
     k = math.log2(n) + 1
-    rhs = k * k * sum(float(v.norm_sq()) for v in vectors)
+    rhs = k * k * sum(float(s) for s in norms)
     if float(lhs) > rhs * (1 + 1e-12) + 1e-12:
         raise AssertionError("maximal bound violated: %s > %s" % (lhs, rhs))
     return float(lhs), rhs

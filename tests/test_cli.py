@@ -197,6 +197,30 @@ def test_exact_mode_env(tmp_path, monkeypatch):
     assert rep["tail_set_exact"] == ["0", "1/3", "2/3", "1"]
 
 
+def test_exact_tail_set_is_the_tail_set(tmp_path, monkeypatch):
+    src = tmp_path / "coef.json"
+    src.write_text('["1/2", "1/3", "1/4", "1/5", "1e-3"]')
+    out = tmp_path / "rep.json"
+    monkeypatch.setenv("ORTHO_EXACT", "1")
+    assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert len(rep["tail_set"]) == 6
+    assert rep["tail_set_exact"] == rep["tail_set"]
+
+
+def test_analyze_information_value_is_not_negative_zero(tmp_path):
+    # the first gap is 1 - 1e-20 of the unit interval: its float quotient
+    # rounds to 1.0, and -log(1.0) was written as -0.0
+    src = tmp_path / "coef.json"
+    src.write_text('["1", "1e-10"]')
+    out = tmp_path / "rep.json"
+    assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
+    text = out.read_text()
+    low = json.loads(text)["information_function"]["min"]
+    assert low == 0.0 and math.copysign(1.0, low) == 1.0
+    assert "-0.0" not in text
+
+
 def test_analyze_all_zero_coefficients_is_data_error(tmp_path, capsys):
     # the zero sequence cannot be normalized: a data error, not a traceback
     src = tmp_path / "zeros.json"

@@ -1,14 +1,19 @@
-"""Vectors with external coordinates, processes, maximal functions."""
+"""Vectors with external coordinates, the Gram kernel, processes, maximal functions."""
 
+import functools
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from orthoconv.exactnum import exact_sqrt
+from orthoconv.cli import main
+from orthoconv.exactnum import RootSum, exact_sqrt
 from orthoconv.info import PointSet
 from orthoconv.ortho import (
     IdAllocator, OrthoProcess, OrthoVector, ProductProcess, exceedance_measure,
-    gram_check, m_grid, maximal_function, menshov_bound_check,
+    gram_check, gram_matrix, m_grid, maximal_function, menshov_bound_check,
 )
 from orthoconv.stepfn import StepFunction
 from orthoconv.construct import phi_family, build_divergent
@@ -202,3 +207,159 @@ def test_glue_blocks_budget_and_empty():
     X = OrthoProcess([0], {F(0): OrthoVector()}, mode="unit")
     with pytest.raises(ValueError):
         ProductProcess([X] * 5, [1, F(4, 5), F(3, 5), F(2, 5), F(1, 5), 0])
+
+
+# -- the Gram kernel -----------------------------------------------------------
+
+R2, R3, R6 = exact_sqrt(2), exact_sqrt(3), exact_sqrt(6)
+EXACT_VALUES = [0, 1, -2, F(1, 3), F(-5, 7), R2, -R3 / 9, R6 / 4,
+                1 + R2, F(1, 2) - R3 + R6, R2 + R3 / 5, 2 * R6 - F(3, 11)]
+FLOAT_VALUES = [0.0, 0.5, -0.3, 1e-3]
+
+
+def values(exact):
+    pool = EXACT_VALUES if exact else EXACT_VALUES + FLOAT_VALUES
+    return st.one_of(st.sampled_from(pool),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=40))
+
+
+@st.composite
+def vectors(draw, exact):
+    den = draw(st.sampled_from([1, 2, 3, 6, 9, 27, 81, 2 ** 61 - 1]))
+    nums = sorted(set(draw(st.lists(st.integers(1, den - 1), max_size=6)))
+                  if den > 1 else set()) + [den]
+    body = StepFunction.from_lattice(den, nums, draw(
+        st.lists(values(exact), min_size=len(nums), max_size=len(nums))))
+    ext = draw(st.dictionaries(st.integers(0, 5), values(exact), max_size=3))
+    return OrthoVector(body, ext)
+
+
+@st.composite
+def vector_lists(draw):
+    exact = draw(st.booleans()) or draw(st.booleans())  # floats in 1 of 4 lists
+    return draw(st.lists(vectors(exact), max_size=6))
+
+
+def same_value(a, b):
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if type(a) is float else a == b
+
+
+@given(vector_lists())
+@settings(max_examples=200, deadline=None)
+def test_gram_matrix_matches_pairwise_inner(vecs):
+    rows = list(gram_matrix(vecs))
+    assert len(rows) == len(vecs)
+    for i, row in enumerate(rows):
+        assert len(row) == len(vecs) - i
+        for j, g in enumerate(row, i):
+            assert same_value(g, vecs[i].inner(vecs[j])), (i, j)
+
+
+def test_gram_matrix_key_products_and_external_scale():
+    # bodies on the lattice 1/9 and 1/2 (D = 18), sharing external id 4
+    u = OrthoVector(StepFunction.from_lattice(9, [2, 9], [R2, R6]), {4: R3, 1: 1})
+    v = OrthoVector(StepFunction.from_lattice(2, [1, 2], [R6, R3]), {4: R6, 2: 5})
+    (uu, uv), (vv,) = gram_matrix([u, v])
+    # sqrt2*sqrt6 = 2 sqrt3 on (0, 2/9], sqrt6*sqrt6 = 6 on (2/9, 1/2],
+    # sqrt6*sqrt3 = 3 sqrt2 on (1/2, 1], and sqrt3*sqrt6 = 3 sqrt2 outside
+    assert uv == 2 * R3 * F(2, 9) + 6 * F(5, 18) + 3 * R2 * F(1, 2) + 3 * R2
+    assert uu == 2 * F(2, 9) + 6 * F(7, 9) + 3 + 1
+    assert vv == 6 * F(1, 2) + 3 * F(1, 2) + 6 + 25
+    assert type(uu) is F and type(uv) is RootSum
+
+
+def test_gram_matrix_empty_and_zero():
+    assert list(gram_matrix([])) == []
+    zero = OrthoVector()
+    rows = list(gram_matrix([zero, zero]))
+    assert rows == [[0, 0], [0]]
+    assert all(type(g) is F for row in rows for g in row)
+
+
+def pairwise_gram_check(X):
+    """gram_check as it was before the Gram kernel: one difference per pair."""
+    worst = F(0)
+    ts = X.times
+    for i in range(len(ts)):
+        for k in range(i + 1, len(ts)):
+            d = X.vectors[ts[k]] - X.vectors[ts[i]]
+            dev = d.inner(d) - X.expected_increment_sq(ts[i], ts[k])
+            if dev != 0:
+                dev = dev if 0 <= dev else -dev
+                if worst <= dev:
+                    worst = dev
+    return worst
+
+
+def _family_process(k):
+    # increments of squared norm 3**-k: bodies in Q(sqrt 3), a rational chi part
+    acc = OrthoVector()
+    vecs = {F(0): OrthoVector()}
+    for m, u in enumerate(phi_family(k, OrthoVector.basis(0), scale=1 / R3)):
+        acc = acc + u
+        vecs[F(m + 1, 3 ** k)] = acc
+    return OrthoProcess(list(vecs), vecs, mode="unit")
+
+
+PROCESSES = ("k1", "k2", "mixed")
+
+
+@functools.lru_cache(maxsize=None)
+def _process(name):
+    if name == "mixed":
+        B = PointSet([0, F(1, 81), F(2, 81), F(3, 81), F(1, 9), F(1, 3), F(2, 3), 1])
+        return build_divergent(B)["report"]["process"]
+    if name == "carrier":
+        # simple scaling over a two-piece carrier that starts after the
+        # first time: the Gram check is far from 0 on every pair
+        X = _family_process(2)
+        return OrthoProcess(X.times, X.vectors, mode="simple",
+                            carrier=[(F(1, 9), F(1, 3)), (F(1, 2), F(8, 9))])
+    return _family_process(int(name[1:]))
+
+
+@pytest.mark.parametrize("name", PROCESSES)
+def test_gram_check_of_built_processes_is_zero(name):
+    assert gram_check(_process(name)) == 0
+    assert pairwise_gram_check(_process(name)) == 0
+
+
+@given(st.sampled_from(PROCESSES + ("carrier",)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_gram_check_matches_pairwise_on_perturbed_process(name, data):
+    X = _process(name)
+    t = data.draw(st.sampled_from(X.times))
+    bump = data.draw(vectors(exact=True))
+    vecs = dict(X.vectors)
+    vecs[t] = vecs[t] + bump
+    Y = OrthoProcess(X.times, vecs, mode=X.mode, carrier=X.carrier)
+    got, want = gram_check(Y), pairwise_gram_check(Y)
+    assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("name", PROCESSES)
+def test_gram_check_perturbed_by_fresh_coordinate(name):
+    # c * e_fresh at one time adds c**2 to every squared increment there
+    X = _process(name)
+    c = R2 / 3 + 1
+    vecs = dict(X.vectors)
+    t = X.times[len(X.times) // 2]
+    vecs[t] = vecs[t] + OrthoVector.basis(IdAllocator.after(*vecs.values()).fresh(), c)
+    Y = OrthoProcess(X.times, vecs, mode=X.mode, carrier=X.carrier)
+    assert gram_check(Y) == pairwise_gram_check(Y) == c * c
+    assert type(gram_check(Y)) is RootSum
+
+
+def test_construct_k4_makes_no_pairwise_inner_products(tmp_path, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("StepFunction.inner called")
+
+    monkeypatch.setattr(StepFunction, "inner", refuse)
+    out = tmp_path / "k4.json"
+    assert main(["construct", "--k", "4", "--out", str(out)]) == 0
+    gram = json.loads(out.read_text())["gram"]
+    assert len(gram) == 81
+    assert all(g == (3 / 81 if i == j else 0.0)
+               for i, row in enumerate(gram) for j, g in enumerate(row))
