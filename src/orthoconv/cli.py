@@ -244,6 +244,8 @@ def cmd_measure(args) -> int:
             data = json.load(fh)
         if isinstance(data, dict):
             data = data["probabilities"]
+        if not isinstance(data, list):
+            raise ValueError("probabilities must be a JSON list")
         out = crit.measure_criterion([parse_rational(p) for p in data])
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print("data error: %s" % e, file=sys.stderr)

@@ -144,28 +144,36 @@ def phi_family(k: int, chi: OrthoVector, window=(ZERO, ONE), scale=1,
     if not _body_vanishes_on(chi, a, b):
         raise ValueError("chi must vanish on the challenge window")
     w = b - a
-    inv_sqrt_w = 1 / exact_sqrt(w)
+    factor = scale / exact_sqrt(w)
     chi_coeff = scale * exact_sqrt(Fraction(3)) / (3 ** k)
+    # window cell c is (origin + c*step, origin + (c+1)*step] over den
     cellw = w / 3 ** k
+    den = math.lcm(a.denominator, cellw.denominator)
+    origin = a.numerator * (den // a.denominator)
+    step = cellw.numerator * (den // cellw.denominator)
     out = []
     for n in range(3 ** k):
-        nd = _digits(n, k)
-        runs = []  # (cell_lo_index, cell_count, value) in window cells
-        for l in range(1, k + 1):
-            base_prefix = 0
-            for r in range(l - 1):
-                base_prefix += nd[r] * 3 ** (k - 1 - r)
-            span = 3 ** (k - l)
-            for d in range(3):
-                if d == nd[l - 1]:
-                    continue
-                lo_cell = base_prefix + d * span
-                val = Fraction(3 ** l, 3 ** k) * hat_residue(d - nd[l - 1])
-                runs.append((lo_cell, span, val))
-        body = _body_from_runs(runs, a, cellw, scale * inv_sqrt_w)
-        vec = OrthoVector(body) + chi_coeff * chi
-        out.append(vec)
+        runs = [(origin + lo_cell * step, origin + (lo_cell + span) * step, val * factor)
+                for lo_cell, span, val in _phi_runs(n, k)]
+        out.append(OrthoVector(StepFunction.from_runs(den, runs)) + chi_coeff * chi)
     return out
+
+
+def _phi_runs(n: int, k: int):
+    """(first cell, cell count, value) of the body runs of vector n of
+    the depth-k family, in the 3**k window cells, before the window
+    scale."""
+    nd = _digits(n, k)
+    for l in range(1, k + 1):
+        base_prefix = 0
+        for r in range(l - 1):
+            base_prefix += nd[r] * 3 ** (k - 1 - r)
+        span = 3 ** (k - l)
+        for d in range(3):
+            if d == nd[l - 1]:
+                continue
+            yield (base_prefix + d * span, span,
+                   Fraction(3 ** l, 3 ** k) * hat_residue(d - nd[l - 1]))
 
 
 def _body_vanishes_on(v: OrthoVector, a, b) -> bool:
@@ -175,28 +183,6 @@ def _body_vanishes_on(v: OrthoVector, a, b) -> bool:
         if hi > a and lo < b:
             return False
     return True
-
-
-def _body_from_runs(runs, a, cellw, factor) -> StepFunction:
-    """Assemble a window body from disjoint cell runs (zero elsewhere)."""
-    pieces = sorted((lo, lo + cnt, val) for lo, cnt, val in runs)
-    bps, vals = [], []
-    pos = ZERO
-    for lo_cell, hi_cell, val in pieces:
-        lo = a + lo_cell * cellw
-        hi = a + hi_cell * cellw
-        if lo > pos:
-            bps.append(lo)
-            vals.append(0)
-        bps.append(hi)
-        vals.append(val * factor)
-        pos = hi
-    if pos < ONE:
-        bps.append(ONE)
-        vals.append(0)
-    if not bps:
-        return StepFunction.constant(0)
-    return StepFunction(bps, vals)
 
 
 def bernstein_check(k: int):

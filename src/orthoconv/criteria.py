@@ -281,13 +281,13 @@ def measure_criterion(atom_probs) -> dict:
 
     H = -log3 P(atom) on each atom; returns sum_i ||H_i|| over the
     standard slices, with H_0 = H ^ 2 and ||g||**2 = sum_n P_n g(n)**2.
+    The probabilities must be positive and sum to 1 within 1e-9, compared
+    exactly.
     """
-    probs = [Fraction(p) if not isinstance(p, float) else Fraction(p)
-             for p in atom_probs]
+    probs = [Fraction(p) for p in atom_probs]
     if any(p <= 0 for p in probs):
         raise ValueError("atom probabilities must be positive")
-    total = sum(probs, start=Fraction(0))
-    if abs(float(total) - 1.0) > 1e-9:
+    if abs(sum(probs, start=Fraction(0)) - 1) > Fraction(1, 10 ** 9):
         raise ValueError("atom probabilities must sum to 1")
     hs = [-log_ratio(p.numerator, p.denominator) / math.log(3) for p in probs]
     hmax = max(hs)

@@ -10,13 +10,14 @@ Values carried by step functions and L2 vectors are one of
 Python's own operators compare and combine all four exactly, so callers
 use ``==``, ``<=``, ``<`` and ``float()`` directly.  This module adds
 exact square roots, rational parsing and formatting, and the JSON form
-of values; sympy is imported only to write and read the ``"sym:"`` text
-of irrational values.
+of values.  It needs no other package: the ``"sym:"`` text of irrational
+values is sympy's ``srepr`` form, written and read here.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -190,7 +191,8 @@ class RootSum:
     multiplies by conjugates, one prime at a time); with a float the
     result is a float.  Signs come from a float evaluation, or exactly
     from squares when that is too close to call.  ``float()`` is
-    correctly rounded.  ``_sympy_`` converts to sympy for the ``"sym:"`` text.
+    correctly rounded.  ``_sympy_`` is sympy's conversion hook, so
+    ``sympy.sympify`` takes a RootSum; the package itself never calls it.
     """
 
     __slots__ = ("terms",)
@@ -485,46 +487,90 @@ def format_rational(fr: Fraction) -> str:
     return "%d/%d" % (fr.numerator, fr.denominator)
 
 
+def _srepr_rational(q: Fraction) -> str:
+    if q.denominator == 1:
+        return "Integer(%d)" % q.numerator
+    return "Rational(%d, %d)" % (q.numerator, q.denominator)
+
+
+def _srepr_term(d: int, q: Fraction) -> str:
+    """q * sqrt(d) in sympy's srepr form, for squarefree d >= 1."""
+    if d == 1:
+        return _srepr_rational(q)
+    root = "Pow(Integer(%d), Rational(1, 2))" % d
+    if q == 1:
+        return root
+    if q > 0:
+        return "Mul(%s, %s)" % (_srepr_rational(q), root)
+    if q == -1:
+        return "Mul(Integer(-1), %s)" % root
+    return "Mul(Integer(-1), %s, %s)" % (_srepr_rational(-q), root)
+
+
+def _srepr(terms: dict) -> str:
+    """sympy's srepr of the expanded sum of q * sqrt(d), without sympy.
+
+    srepr orders the terms of an Add by value, ascending; q*|q|*d orders
+    q*sqrt(d) the same way, exactly.  The one exception is sympy's: a
+    positive rational and one negative irrational term put the rational
+    first.
+    """
+    items = sorted(terms.items(), key=lambda t: t[1] * abs(t[1]) * t[0])
+    if len(items) == 1:
+        return _srepr_term(*items[0])
+    if len(items) == 2 and items[1][0] == 1 and items[0][1] < 0 < items[1][1]:
+        items.reverse()
+    return "Add(%s)" % ", ".join(_srepr_term(d, q) for d, q in items)
+
+
+_RATIONAL = r"Integer\(-?\d+\)|Rational\(-?\d+, [1-9]\d*\)"
+_ROOT = r"Pow\(Integer\(\d+\), Rational\(1, 2\)\)"
+_TERM = r"(?:%s|%s|Mul\((?:(?:%s), )*%s\))" % (_RATIONAL, _ROOT, _RATIONAL, _ROOT)
+_SYM = re.compile(r"%s|Add\(%s(?:, %s)+\)" % (_TERM, _TERM, _TERM))
+_TERMS = re.compile(_TERM)
+_FACTORS = re.compile(r"Integer\((-?\d+)\)|Rational\((-?\d+), (\d+)\)"
+                      r"|Pow\(Integer\((\d+)\), Rational\(1, 2\)\)")
+
+
+def _read_srepr(text: str):
+    """The value of srepr text written by :func:`_srepr`, its terms in any
+    order; a root of a non-squarefree integer reads through
+    :func:`exact_sqrt`.  Raises ValueError for any other text."""
+    if not _SYM.fullmatch(text):
+        raise ValueError("not an exact multiquadratic value: %s" % text)
+    total = ZERO
+    for term in _TERMS.finditer(text):
+        value = ONE
+        for m in _FACTORS.finditer(term.group()):
+            n, p, q, root = m.groups()
+            if n is not None:
+                value = value * int(n)
+            elif p is not None:
+                value = value * Fraction(int(p), int(q))
+            else:
+                value = value * exact_sqrt(int(root))
+        total = total + value
+    return total
+
+
 def value_to_json(v):
     """JSON encoding of a value; exact values go to strings, floats stay.
 
-    Irrational exact values are written as ``"sym:"`` plus the sympy
-    ``srepr`` of the value.
+    Irrational exact values are written as ``"sym:"`` plus sympy's
+    ``srepr`` of the expanded sum, spelled by :func:`_srepr`.
     """
     if isinstance(v, bool):
         return v
     if isinstance(v, _RATIONALS):
         return format_rational(Fraction(v))
     if type(v) is RootSum:
-        import sympy
-        return "sym:" + sympy.srepr(v._sympy_())
+        return "sym:" + _srepr(v.terms)
     return float(v)
-
-
-def _from_sympy(e):
-    """A sympy constant as a Fraction or RootSum; raises ValueError unless
-    it is a rational combination of square roots of positive integers."""
-    import sympy
-    total = ZERO
-    for term in sympy.Add.make_args(sympy.expand(e)):
-        coeff, rest = term.as_coeff_Mul()
-        if not coeff.is_Rational:
-            raise ValueError("not an exact multiquadratic value: %s" % e)
-        if rest == 1:
-            root = 1
-        elif (rest.is_Pow and rest.exp == sympy.S.Half and rest.base.is_Integer
-              and rest.base > 0):
-            root = exact_sqrt(int(rest.base))
-        else:
-            raise ValueError("not an exact multiquadratic value: %s" % e)
-        total = total + Fraction(int(coeff.p), int(coeff.q)) * root
-    return total
 
 
 def value_from_json(v):
     if isinstance(v, str):
         if v.startswith("sym:"):
-            import sympy
-            return _from_sympy(sympy.sympify(v[4:]))
+            return _read_srepr(v[4:])
         return parse_rational(v)
     return v

@@ -191,6 +191,29 @@ class StepFunction:
         f._set(den, nums, values)
         return f
 
+    @classmethod
+    def from_runs(cls, den: int, runs) -> "StepFunction":
+        """v on each (lo / den, hi / den] of the runs (lo, hi, v), 0 elsewhere.
+
+        lo < hi are integers in 0..den, in any order.  Raises ValueError
+        when two runs overlap.
+        """
+        nums, vals = [], []
+        pos = 0
+        for lo, hi, v in sorted(runs):
+            if lo < pos:
+                raise ValueError("overlapping pieces")
+            if lo > pos:
+                nums.append(lo)
+                vals.append(0)
+            nums.append(hi)
+            vals.append(v)
+            pos = hi
+        if pos < den:
+            nums.append(den)
+            vals.append(0)
+        return cls.from_lattice(den, nums, vals)
+
     def _set(self, den, nums, values):
         vals = list(values)
         if len(nums) != len(vals):

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .info import type_level_representation
-from .stepfn import StepFunction, cond_norm, grid_size, grid_width, pos_part
+from .stepfn import StepFunction, cond_norm, grid_size, pos_part
 
 __all__ = [
     "VTrace",
@@ -273,45 +273,20 @@ def type_reduction(h: StepFunction, j: int) -> TypeReduction:
     if j < 5:
         raise ValueError("the reduction operator needs level j >= 5")
     rep = type_level_representation(h, j)  # validates the normal form
-    w1 = grid_width(j + 1)
-    gain = Fraction(2) ** j
-    f_pieces = []
-    g_pieces = []
+    f_runs = []  # (cell, cell + 1, value) on the level-(j+1) grid
+    g_runs = []
     selections = []
     for m, cells in rep:
         a = [a_k for _, a_k in cells]
         sel = select_blocks(a, j)
         selections.append((m, sel))
         for (n, a_k), ck, dk in zip(cells, sel.c, sel.d):
-            lo = n * w1
             if ck:
-                f_pieces.append((lo, lo + w1, ck))
+                f_runs.append((n, n + 1, ck))
             if dk:
-                g_pieces.append((lo, lo + w1, dk))
-    f_corr = _from_sparse_pieces(f_pieces)
-    g_corr = _from_sparse_pieces(g_pieces)
+                g_runs.append((n, n + 1, dk))
+    size = grid_size(j + 1)
+    f_corr = StepFunction.from_runs(size, f_runs)
+    g_corr = StepFunction.from_runs(size, g_runs)
     reduced = h - f_corr - g_corr
     return TypeReduction(h, j, reduced, f_corr, g_corr, selections)
-
-
-def _from_sparse_pieces(pieces) -> StepFunction:
-    """Step function equal to v on each listed (lo, hi] and 0 elsewhere."""
-    out = StepFunction.constant(0)
-    if not pieces:
-        return out
-    bps = []
-    vals = []
-    pos = Fraction(0)
-    for lo, hi, v in sorted(pieces):
-        if lo < pos:
-            raise ValueError("overlapping pieces")
-        if lo > pos:
-            bps.append(lo)
-            vals.append(0)
-        bps.append(hi)
-        vals.append(v)
-        pos = hi
-    if pos < 1:
-        bps.append(Fraction(1))
-        vals.append(0)
-    return StepFunction(bps, vals)

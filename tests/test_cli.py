@@ -187,6 +187,36 @@ def test_measure_invalid_distribution(tmp_path):
     assert run_cli(["measure", str(src)]) == 2
 
 
+def _measure_error(tmp_path, capsys, text):
+    src = tmp_path / "probs.json"
+    src.write_text(text)
+    rc = run_cli(["measure", str(src)])
+    return rc, capsys.readouterr().err.strip().splitlines()
+
+
+def test_measure_scalar_input_is_data_error(tmp_path, capsys):
+    rc, err = _measure_error(tmp_path, capsys, "5")
+    assert rc == 2 and err == ["data error: probabilities must be a JSON list"]
+
+
+def test_measure_scalar_probabilities_is_data_error(tmp_path, capsys):
+    rc, err = _measure_error(tmp_path, capsys, '{"probabilities": 5}')
+    assert rc == 2 and err == ["data error: probabilities must be a JSON list"]
+
+
+@pytest.mark.parametrize("text", ['"1/2"', '"1"'])
+def test_measure_string_probabilities_is_data_error(tmp_path, capsys, text):
+    # a string is not read character by character
+    rc, err = _measure_error(tmp_path, capsys, '{"probabilities": %s}' % text)
+    assert rc == 2 and err == ["data error: probabilities must be a JSON list"]
+
+
+def test_measure_huge_probability_is_data_error(tmp_path, capsys):
+    # the sum is compared with 1 exactly, not through a float that overflows
+    rc, err = _measure_error(tmp_path, capsys, '["1e400"]')
+    assert rc == 2 and err == ["data error: atom probabilities must sum to 1"]
+
+
 def test_exact_mode_env(tmp_path, monkeypatch):
     src = tmp_path / "coef.json"
     src.write_text('["1/3", "1/3", "1/3"]')
@@ -250,6 +280,29 @@ def test_front_door_does_not_import_sympy():
     import sys
     code = "import orthoconv.cli, sys; assert 'sympy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--k", "2", "--full"],
+    ["construct", "--b", "0,1/9,14/81,5/27,2/9,1/3,2/3,1", "--full"],
+])
+def test_sym_dumps_without_sympy(argv):
+    # the "sym:" text is written without sympy, in the same bytes
+    import os
+    import subprocess
+    import sys
+    import orthoconv
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orthoconv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n%s\nfrom orthoconv.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    runs = [subprocess.run([sys.executable, "-c", code % block] + argv, env=env,
+                           capture_output=True)
+            for block in ("", "sys.modules['sympy'] = None")]
+    for r in runs:
+        assert r.returncode == 0, r.stderr
+    assert b'"sym:' in runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_front_door_does_not_import_numpy():

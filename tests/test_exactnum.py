@@ -9,8 +9,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orthoconv.exactnum import (
-    RootSum, exact_sqrt, parse_rational, sqrt_float, value_from_json,
-    value_to_json,
+    RootSum, _srepr_term, exact_sqrt, parse_rational, sqrt_float,
+    value_from_json, value_to_json,
 )
 from orthoconv.stepfn import StepFunction
 
@@ -174,6 +174,99 @@ def test_json_reads_only_multiquadratic_sym_text():
                  sympy.srepr(sympy.cbrt(2))):
         with pytest.raises(ValueError):
             value_from_json("sym:" + text)
+
+
+# -- the "sym:" writer and reader --------------------------------------------
+
+WIDE_KEYS = (1, 2, 3, 7, 10, 105, 2310)
+unit_and_int_coeffs = st.builds(F, st.sampled_from([1, -1, 2, -2, 3, -7, 10 ** 20, -(10 ** 20)]))
+wide_coeffs = st.one_of(coeffs, unit_and_int_coeffs)
+
+
+def terms_value(terms):
+    value, oracle = F(0), sympy.Integer(0)
+    for d, q in terms.items():
+        value = value + q * exact_sqrt(d)
+        oracle = oracle + sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(d)
+    return value, oracle
+
+
+@st.composite
+def wide_elements(draw):
+    """(value, sympy oracle) over keys outside KEYS too, with unit and
+    integer coefficients; terms lie inside the float range."""
+    terms = draw(st.dictionaries(st.sampled_from(WIDE_KEYS), wide_coeffs,
+                                 min_size=1, max_size=len(WIDE_KEYS)))
+    return terms_value(terms)
+
+
+# a positive rational and one negative irrational term: sympy writes the
+# rational first, out of value order
+rational_minus_root = st.builds(
+    lambda p, d, q: terms_value({1: p, d: -q}),
+    st.one_of(unit_and_int_coeffs, coeffs).filter(lambda p: p > 0),
+    st.sampled_from(WIDE_KEYS[1:]),
+    st.one_of(unit_and_int_coeffs, coeffs).filter(lambda q: q > 0))
+
+
+@given(st.one_of(wide_elements(), rational_minus_root))
+@settings(max_examples=300, deadline=None)
+def test_sym_text_is_sympy_srepr(a):
+    x, X = a
+    if isinstance(x, RootSum):
+        assert value_to_json(x) == "sym:" + sympy.srepr(X)
+        assert value_from_json(value_to_json(x)) == x
+
+
+def test_sym_text_of_single_terms():
+    r2 = exact_sqrt(2)
+    root = "Pow(Integer(2), Rational(1, 2))"
+    for value, text in ((r2, root), (-r2, "Mul(Integer(-1), %s)" % root),
+                        (3 * r2, "Mul(Integer(3), %s)" % root),
+                        (-3 * r2 / 5, "Mul(Integer(-1), Rational(3, 5), %s)" % root),
+                        (1 - r2, "Add(Integer(1), Mul(Integer(-1), %s))" % root),
+                        (-1 - r2, "Add(Mul(Integer(-1), %s), Integer(-1))" % root)):
+        assert value_to_json(value) == "sym:" + text
+
+
+@given(wide_elements(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_sym_reader_takes_terms_in_any_order(a, data):
+    x, _ = a
+    if not isinstance(x, RootSum) or len(x.terms) < 2:
+        return
+    items = data.draw(st.permutations(sorted(x.terms.items())))
+    text = "sym:Add(%s)" % ", ".join(_srepr_term(d, q) for d, q in items)
+    assert value_from_json(text) == x
+
+
+def test_sym_reader_reduces_roots():
+    text = "sym:Pow(Integer(8), Rational(1, 2))"
+    assert value_from_json(text) == 2 * exact_sqrt(2)
+    assert value_from_json(text).terms == {2: 2}
+    assert value_from_json("sym:Mul(Rational(1, 2), Pow(Integer(4), Rational(1, 2)))") == 1
+    assert value_from_json("sym:Add(Integer(1), Pow(Integer(12), Rational(1, 2)))") \
+        == 1 + 2 * exact_sqrt(3)
+
+
+@pytest.mark.parametrize("text", [
+    "pi",
+    "Pow(pi, Rational(1, 2))",
+    "Pow(Integer(2), Rational(1, 3))",
+    "Mul(Integer(2), Pow(Integer(2), Rational(1, 3)))",
+    # a nested quotient, as sympy kept some values before the field type
+    "Mul(Pow(Add(Integer(1), Pow(Integer(2), Rational(1, 2))), Integer(-1)), "
+    "Pow(Integer(3), Rational(1, 2)))",
+    "Pow(Integer(-2), Rational(1, 2))",
+    "Rational(1, 0)",
+    "Add(Integer(1))",
+    "Add(Integer(1), Pow(Integer(2), Rational(1, 2))",
+    "Integer(1) ",
+    "",
+])
+def test_sym_reader_refuses_other_text(text):
+    with pytest.raises(ValueError):
+        value_from_json("sym:" + text)
 
 
 def test_parse_rational_refuses_non_finite_input():

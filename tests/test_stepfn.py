@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from orthoconv.exactnum import exact_sqrt
 from orthoconv.stepfn import (
     StepFunction, TriadicAtom, clip_min, cond_norm, grid_size,
     pointwise, pos_part,
@@ -346,3 +347,105 @@ def test_lattice_canonical_form_is_unique(rf, k, extra):
         assert (other.den, other.nums) == (f.den, f.nums)
     assert math.gcd(f.den, *f.nums) == 1
     assert f.breakpoints == tuple(o_canon(bps, vals)[0])
+
+
+# -- step functions made of runs ---------------------------------------------
+
+
+def fraction_runs_oracle(pieces):
+    """The Fraction-breakpoint builder that ``StepFunction.from_runs``
+    replaced: v on each (lo, hi], 0 elsewhere."""
+    out = StepFunction.constant(0)
+    if not pieces:
+        return out
+    bps = []
+    vals = []
+    pos = F(0)
+    for lo, hi, v in sorted(pieces):
+        if lo < pos:
+            raise ValueError("overlapping pieces")
+        if lo > pos:
+            bps.append(lo)
+            vals.append(0)
+        bps.append(hi)
+        vals.append(v)
+        pos = hi
+    if pos < 1:
+        bps.append(F(1))
+        vals.append(0)
+    return StepFunction(bps, vals)
+
+
+def same_lattice(f, g):
+    return (f.den, f.nums, typed(f.values)) == (g.den, g.nums, typed(g.values))
+
+
+run_values = st.one_of(values, st.sampled_from([0, F(0), 1, F(1), 1.0]),
+                       st.sampled_from([exact_sqrt(2), -exact_sqrt(3) / 9]))
+
+
+@st.composite
+def runs_on_lattice(draw):
+    """(den, runs): disjoint runs, adjacent ones included, in any order."""
+    den = draw(st.sampled_from([1, 3, 9, 81, 6 * 81, 2 ** 61 - 1]))
+    cuts = sorted(set(draw(st.lists(st.integers(0, den), max_size=8))) | {0, den})
+    runs = [(lo, hi, draw(run_values)) for lo, hi in zip(cuts, cuts[1:])
+            if draw(st.booleans())]
+    return den, draw(st.permutations(runs))
+
+
+@given(runs_on_lattice())
+@settings(max_examples=300, deadline=None)
+def test_from_runs_matches_fraction_builder(dr):
+    den, runs = dr
+    want = fraction_runs_oracle([(F(lo, den), F(hi, den), v) for lo, hi, v in runs])
+    assert same_lattice(StepFunction.from_runs(den, runs), want)
+
+
+def test_from_runs_refuses_overlap():
+    for runs in ([(0, 3, 1), (2, 5, 1)], [(0, 3, 1), (0, 2, 2)], [(4, 9, 1), (0, 5, 1)]):
+        with pytest.raises(ValueError, match="overlapping pieces"):
+            StepFunction.from_runs(9, runs)
+
+
+@pytest.mark.parametrize("window", [(0, 1), (F(1, 3), F(2, 3)), (F(1, 9), F(5, 27)),
+                                    (F(2, 7), F(5, 7))])
+@pytest.mark.parametrize("scale", [1, F(2, 3), exact_sqrt(2)])
+def test_phi_family_bodies_match_fraction_builder(window, scale):
+    from orthoconv.construct import _phi_runs, phi_family
+    from orthoconv.ortho import OrthoVector
+    a, b = F(window[0]), F(window[1])
+    chi = OrthoVector.basis(0)
+    for k in range(4):
+        fam = phi_family(k, chi, window=window, scale=scale)
+        factor = scale * (1 / exact_sqrt(b - a))
+        cellw = (b - a) / 3 ** k
+        chi_coeff = scale * exact_sqrt(F(3)) / (3 ** k)
+        for n, vec in enumerate(fam):
+            body = fraction_runs_oracle([(a + lo * cellw, a + (lo + cnt) * cellw, val * factor)
+                                         for lo, cnt, val in _phi_runs(n, k)])
+            want = OrthoVector(body) + chi_coeff * chi
+            assert same_lattice(vec.body, want.body) and vec.ext == want.ext
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_type_reduction_corrections_match_fraction_builder(seed):
+    import random
+    from orthoconv.info import type_level_representation
+    from orthoconv.stepfn import grid_width
+    from orthoconv.suites import _sparse_type5_fn
+    from orthoconv.vcalc import type_reduction
+    h = _sparse_type5_fn(random.Random(seed))
+    red = type_reduction(h, 5)
+    w1 = grid_width(6)
+    f_pieces, g_pieces = [], []
+    for (m, cells), (m2, sel) in zip(type_level_representation(h, 5), red.selections):
+        assert m == m2
+        for (n, _), ck, dk in zip(cells, sel.c, sel.d):
+            if ck:
+                f_pieces.append((n * w1, (n + 1) * w1, ck))
+            if dk:
+                g_pieces.append((n * w1, (n + 1) * w1, dk))
+    assert f_pieces or g_pieces
+    assert same_lattice(red.f_corr, fraction_runs_oracle(f_pieces))
+    assert same_lattice(red.g_corr, fraction_runs_oracle(g_pieces))
