@@ -12,13 +12,12 @@ The package revolves around three layers:
   functions (:mod:`orthoconv.ortho`, :mod:`orthoconv.construct`).
 """
 
-from .stepfn import StepFunction, TriadicAtom, cond_norm, clip_min, pos_part, pointwise
+from .stepfn import StepFunction, cond_norm, clip_min, pos_part, pointwise
 from .info import (
     CoefficientSeq,
     PointSet,
     tail_set,
     info_fn,
-    info_fn_closed,
     dyadic_floor,
     dyadic_halffloor,
     is_triadic_fn,

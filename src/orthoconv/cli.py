@@ -65,13 +65,19 @@ def _read_coefficients(path: str) -> CoefficientSeq:
     return CoefficientSeq(vals)
 
 
-def _dump(obj, out_path):
+def _dump(obj, out_path) -> int:
+    """Write the report; EXIT_DATA with one line when out_path cannot be written."""
     text = json.dumps(obj, sort_keys=True, indent=2)
     if out_path in (None, "-"):
         sys.stdout.write(text + "\n")
-    else:
+        return EXIT_OK
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as e:
+        print("data error: %s" % e, file=sys.stderr)
+        return EXIT_DATA
+    return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -93,7 +99,12 @@ def cmd_analyze(args) -> int:
     h = info_fn(B, base=3)
     h1 = h.maximum(1)
     value, trace = v_functional(h1)
-    tail = B.to_json()
+    try:
+        tail = B.to_json()
+    except ValueError:  # Python refuses to print ints above its digit limit
+        print("budget error: a tail-set point has more than %d digits, Python's limit "
+              "for printing an integer" % sys.get_int_max_str_digits(), file=sys.stderr)
+        return EXIT_DATA
     report = {
         "command": "analyze",
         "flags": {"input": args.input, "indicator": args.indicator,
@@ -113,8 +124,7 @@ def cmd_analyze(args) -> int:
     }
     if _exact_mode():
         report["tail_set_exact"] = tail
-    _dump(report, args.out)
-    return EXIT_OK
+    return _dump(report, args.out)
 
 
 def _jsonable(x):
@@ -152,8 +162,7 @@ def cmd_construct(args) -> int:
             "gram": gram,
             "vectors": [v.to_json() for v in fam] if args.full else None,
         }
-        _dump(report, args.out)
-        return EXIT_OK
+        return _dump(report, args.out)
     if args.b is not None or args.grid is not None:
         try:
             thresholds = [parse_rational(y) for y in (args.y or [])]
@@ -193,8 +202,7 @@ def cmd_construct(args) -> int:
                 for y in thresholds]
         ok = (rep["final_value_ok"] and rep["membership_ok"]
               and rep["gram_deviation"] == 0)
-        _dump(report, args.out)
-        return EXIT_OK if ok else EXIT_ASSERT
+        return _dump(report, args.out) or (EXIT_OK if ok else EXIT_ASSERT)
     print("usage error: construct needs --k or --b/--grid", file=sys.stderr)
     return EXIT_USAGE
 
@@ -216,8 +224,7 @@ def cmd_verify(args) -> int:
     for r in out["results"]:
         r.pop("trace", None)
         r.pop("details", None)
-    _dump(out, args.out)
-    return EXIT_OK if out["passed"] else EXIT_ASSERT
+    return _dump(out, args.out) or (EXIT_OK if out["passed"] else EXIT_ASSERT)
 
 
 def cmd_cantor(args) -> int:
@@ -234,8 +241,7 @@ def cmd_cantor(args) -> int:
     report["command"] = "cantor"
     report["flags"] = {"t": args.t, "window": args.window, "depth": args.depth,
                        "seed": args.seed}
-    _dump(report, args.out)
-    return EXIT_OK
+    return _dump(report, args.out)
 
 
 def cmd_measure(args) -> int:
@@ -256,8 +262,7 @@ def cmd_measure(args) -> int:
         "slice_norms": {str(k): v for k, v in out["terms"].items()},
         "criterion_sum": out["sum"],
     }
-    _dump(report, args.out)
-    return EXIT_OK
+    return _dump(report, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if e.code == 0 else EXIT_USAGE
     if not getattr(args, "fn", None):
         parser.print_help()
         return EXIT_USAGE

@@ -49,7 +49,6 @@ __all__ = [
     "ComplexityCert",
     "trivial_cert",
     "grid_cert",
-    "example_process",
     "merge",
     "nest",
     "corollary_union",
@@ -119,15 +118,13 @@ def digit_sum_fn(k: int) -> StepFunction:
     return StepFunction.from_cells(vals)
 
 
-def phi_family(k: int, chi: OrthoVector, window=(ZERO, ONE), scale=1,
-               require_empty_body: bool = False):
+def phi_family(k: int, chi: OrthoVector, window=(ZERO, ONE), scale=1):
     """The depth-k generator family transplanted onto a window.
 
     chi must be a unit vector whose body vanishes on the window (for the
-    default window that means an empty body; pass
-    ``require_empty_body=True`` to enforce the stricter form).  The
-    bodies are rescaled by 1/sqrt(b-a) so that all inner products match
-    the unit-window family; ``scale`` multiplies everything.
+    default window that means an empty body).  The bodies are rescaled
+    by 1/sqrt(b-a) so that all inner products match the unit-window
+    family; ``scale`` multiplies everything.
 
     Sparse construction: vector n has one body run per (digit position,
     differing digit) pair, so at most 2k+1 body pieces.
@@ -139,8 +136,6 @@ def phi_family(k: int, chi: OrthoVector, window=(ZERO, ONE), scale=1,
         raise ValueError("bad window")
     if chi.norm_sq() != 1:
         raise ValueError("chi must be a unit vector")
-    if require_empty_body and not chi.body_support_in(ONE, ONE):
-        raise ValueError("chi must have an empty body")
     if not _body_vanishes_on(chi, a, b):
         raise ValueError("chi must vanish on the challenge window")
     w = b - a
@@ -279,8 +274,7 @@ class ComplexityCert:
     verification always measures the achieved failure exactly.
     """
 
-    def __init__(self, B: PointSet, intervals, y_sq, eps, kind, builder,
-                 children=(), y=None):
+    def __init__(self, B: PointSet, intervals, y_sq, eps, kind, builder, y=None):
         raw = sorted((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
         for (l1, h1), (l2, h2) in zip(raw, raw[1:]):
             if h1 > l2:
@@ -302,7 +296,6 @@ class ComplexityCert:
         self.eps = eps
         self.kind = kind
         self._builder = builder
-        self.children = tuple(children)
 
     @property
     def measure(self) -> Fraction:
@@ -316,12 +309,6 @@ class ComplexityCert:
             self._y = exact_sqrt(self.y_sq)
         return self._y
 
-    def times(self):
-        pts = set()
-        for lo, hi in self.intervals:
-            pts.update(self.B.restrict(lo, hi))
-        return sorted(pts)
-
     def final_target(self, chi: OrthoVector) -> OrthoVector:
         return (24 * exact_sqrt(3 * self.measure)) * chi
 
@@ -334,8 +321,7 @@ class ComplexityCert:
         return OrthoProcess(list(vectors), vectors, mode="simple",
                             carrier=self.intervals)
 
-    def verify_challenge(self, a, b, chi: OrthoVector, alloc=None,
-                         check_gram: bool = True) -> dict:
+    def verify_challenge(self, a, b, chi: OrthoVector, alloc=None) -> dict:
         """Direct evaluation of all certificate conditions on one challenge."""
         a, b = Fraction(a), Fraction(b)
         X = self.witness(a, b, chi, alloc)
@@ -345,8 +331,7 @@ class ComplexityCert:
         report["final_value_ok"] = X.vectors[t1].equals(self.final_target(chi))
         report["membership_ok"] = all(
             _membership_ok(X.vectors[t], a, b, chi) for t in X.times)
-        if check_gram:
-            report["gram_deviation"] = gram_check(X)
+        report["gram_deviation"] = gram_check(X)
         if b > a:
             w = b - a
             m = maximal_function(X)
@@ -448,31 +433,15 @@ def grid_cert(B: PointSet, lo, hi, k: int) -> ComplexityCert:
                           "grid[k=%d]" % k, build, y=4 * k * exact_sqrt(length))
 
 
-def example_process(k: int, chi: OrthoVector, window=(ZERO, ONE),
-                    B: PointSet = None, interval=(ZERO, ONE)):
-    """Grid certificate challenged immediately on one window.
-
-    Returns (cert, report); the report carries the witness process and
-    the exact achieved exceedance numbers for the challenge.
-    """
-    if B is None:
-        cell = (Fraction(interval[1]) - Fraction(interval[0])) / 3 ** k
-        B = PointSet([Fraction(interval[0]) + m * cell for m in range(3 ** k + 1)]
-                     + [ZERO, ONE])
-    cert = grid_cert(B, interval[0], interval[1], k)
-    report = cert.verify_challenge(window[0], window[1], chi)
-    return cert, report
-
-
-def _rationalize_ratios(ratios, denom_pow: int = 24):
+def _rationalize_ratios(ratios):
     """Exact rational under-approximations of window ratios.
 
     Rational ratios pass through; irrational ones (field elements) are
-    floored to a multiple of 3**-denom_pow so breakpoints stay rational,
+    floored to a multiple of 3**-24 so breakpoints stay rational,
     with the lost sliver booked as unused window (it can only increase
     the recorded failure, never fake success).
     """
-    scale = 3 ** denom_pow
+    scale = 3 ** 24
     return [Fraction(math.floor(r * scale), scale) if type(r) is RootSum else Fraction(r)
             for r in ratios]
 
@@ -530,7 +499,7 @@ def merge(certs, B: PointSet = None) -> ComplexityCert:
             vectors[t] = acc
         return vectors
 
-    return ComplexityCert(B, intervals, y_sq, eps, "merge", build, children=certs)
+    return ComplexityCert(B, intervals, y_sq, eps, "merge", build)
 
 
 def _last_time_leq(times, t):
@@ -599,7 +568,7 @@ def nest(k: int, sub_certs, B: PointSet = None) -> ComplexityCert:
         return vectors
 
     return ComplexityCert(B, ivs_sorted, y_out * y_out, eps, "nest[k=%d]" % k, build,
-                          children=sub_certs, y=y_out)
+                          y=y_out)
 
 
 def corollary_union(certs, h: StepFunction, B: PointSet = None) -> ComplexityCert:
@@ -650,8 +619,7 @@ def _hu_min_on(hu: StepFunction, lo, hi):
     return out
 
 
-def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None,
-                    check_gram: bool = True) -> dict:
+def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None) -> dict:
     """Process with a large maximal function on a finite triadic set.
 
     Runs the backward recursion along the dyadic floor of the
@@ -752,7 +720,7 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None,
     top = cert_for(0, ZERO, ONE)
     if chi is None:
         chi = OrthoVector.basis(0)
-    report = top.verify_challenge(ZERO, ONE, chi, check_gram=check_gram)
+    report = top.verify_challenge(ZERO, ONE, chi)
     m = maximal_function(report["process"])
     out = {
         "cert": top,

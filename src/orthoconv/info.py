@@ -25,7 +25,6 @@ __all__ = [
     "PointSet",
     "tail_set",
     "info_fn",
-    "info_fn_closed",
     "cantor_points",
     "cantor_info_fn",
     "dyadic_floor",
@@ -147,8 +146,8 @@ class CoefficientSeq:
         out.coeffs = tuple(s ** 0.5 for s in out.square_floats())
         return out
 
-    def is_normalized(self, tol=1e-12) -> bool:
-        return abs(self.total - 1) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.total - 1) <= 1e-12
 
     def moduli_decreasing(self) -> bool:
         nums = self.nums
@@ -232,9 +231,6 @@ class PointSet:
         nums = self.nums
         return Fraction(min(b - a for a, b in zip(nums, nums[1:])), self.den)
 
-    def union(self, other) -> "PointSet":
-        return PointSet(self.points + tuple(Fraction(p) for p in other))
-
     def restrict(self, lo, hi) -> tuple:
         lo, hi = Fraction(lo), Fraction(hi)
         return tuple(p for p in self.points if lo <= p <= hi)
@@ -302,18 +298,6 @@ def info_fn(B: PointSet, base: int = 3) -> StepFunction:
     return StepFunction.from_lattice(den, nums[1:], vals)
 
 
-def info_fn_closed(B: PointSet, clip) -> StepFunction:
-    """Closed-set information function with large values clipped.
-
-    The exact function is +infinity on B itself; B is a null set for the
-    closed sets handled here, so as a step function the result agrees
-    with the finite-set information function off B, with values above
-    ``clip`` replaced by ``clip``.
-    """
-    h = info_fn(B, base=3)
-    return h.map_values(lambda v: v if v <= clip else clip)
-
-
 def cantor_points(depth: int) -> PointSet:
     """Endpoints of the depth-d middle-thirds construction."""
     if depth < 0:
@@ -376,7 +360,7 @@ def _aligned(x: Fraction, size: int) -> bool:
     return (x.numerator * size) % x.denominator == 0
 
 
-def is_triadic_fn(h: StepFunction, max_level: int = None):
+def is_triadic_fn(h: StepFunction):
     """Check the cell-alignment property of a bounded function h >= 1.
 
     For every j with 2**j <= max h, the level set (h >= 2**j) must be a
@@ -390,8 +374,6 @@ def is_triadic_fn(h: StepFunction, max_level: int = None):
     j_hi = 0
     while 2 ** (j_hi + 1) <= top:
         j_hi += 1
-    if max_level is not None:
-        j_hi = min(j_hi, max_level)
     for j in range(j_hi + 1):
         size = grid_size(j)
         for lo, hi in h.level_set_ge(2 ** j):

@@ -34,14 +34,12 @@ __all__ = [
     "gram_matrix",
     "gram_check",
     "maximal_function",
-    "exceedance_measure",
     "menshov_bound_check",
     "m_grid",
     "SIMPLE_FACTOR",
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 SIMPLE_FACTOR = 3 * 24 * 24  # increment normalization of simple processes
 
 
@@ -109,10 +107,6 @@ class OrthoVector:
     def norm_sq(self):
         (row,) = gram_matrix([self])
         return row[0]
-
-    def norm(self, exact: bool = False):
-        s = self.norm_sq()
-        return exact_sqrt(s) if exact else math.sqrt(float(s))
 
     def is_zero(self) -> bool:
         return (not self.ext) and all(v == 0 for v in self.body.values)
@@ -344,32 +338,20 @@ def gram_check(X: OrthoProcess):
     return worst
 
 
-def maximal_function(X: OrthoProcess, subset=None, absolute: bool = False,
-                     baseline=None) -> StepFunction:
+def maximal_function(X: OrthoProcess, absolute: bool = False) -> StepFunction:
     """Pointwise max over time of the body parts (optionally |.|).
 
-    ``subset`` restricts the times; ``baseline`` subtracts a fixed vector
-    first.  External coordinates do not enter (they live off [0,1) under
-    the representation contract); :func:`m_grid` adds their contribution
-    to the L2 norm of the maximum.
+    External coordinates do not enter (they live off [0,1) under the
+    representation contract); :func:`m_grid` adds their contribution to
+    the L2 norm of the maximum.
     """
-    times = X.times if subset is None else [t for t in X.times if t in subset]
-    if not times:
-        return StepFunction.constant(0)
     out = None
-    for t in times:
-        v = X.vectors[t]
-        body = v.body if baseline is None else (v - baseline).body
+    for t in X.times:
+        body = X.vectors[t].body
         if absolute:
             body = body.abs()
         out = body if out is None else out.maximum(body)
     return out
-
-
-def exceedance_measure(m: StepFunction, y, window=None, strict: bool = False):
-    """lambda({max >= y}) (or > y), optionally within a window (lo, hi]."""
-    f = m if window is None else m.restrict(*window)
-    return f.measure_gt(y) if strict else f.measure_ge(y)
 
 
 def _max_abs_ext(vectors) -> dict:
@@ -382,7 +364,7 @@ def _max_abs_ext(vectors) -> dict:
     return out
 
 
-def menshov_bound_check(vectors, tol: float = 1e-9):
+def menshov_bound_check(vectors):
     """Maximal-partial-sum bound for finitely many orthogonal vectors.
 
     Returns (lhs, rhs) with lhs = || max_n |Y_1+...+Y_n| ||**2 and
@@ -396,7 +378,7 @@ def menshov_bound_check(vectors, tol: float = 1e-9):
     for i, row in enumerate(gram_matrix(vectors)):
         norms.append(row[0])
         for k, ip in enumerate(row[1:], i + 1):
-            if abs(float(ip)) > tol:
+            if abs(float(ip)) > 1e-9:
                 raise ValueError("vectors %d and %d are not orthogonal" % (i, k))
     partial = []
     acc = None
@@ -483,17 +465,11 @@ class ProductProcess:
         self.blocks = list(blocks)
         self.cuts = cuts
 
-    def factor_final(self, s) -> OrthoVector:
-        blk = self.blocks[s]
-        return blk.vectors[blk.times[-1]]
+    def factor_max_event_measure(self, s, y):
+        """lambda(w_s : max over t of X_s(t)(w_s) >= y), bodies only."""
+        return maximal_function(self.blocks[s]).measure_ge(y)
 
-    def factor_max_event_measure(self, s, y, absolute: bool = False):
-        """lambda(w_s : max over t of X_s(t)(w_s) >= y), bodies only;
-        set absolute=True for the |.| variant."""
-        m = maximal_function(self.blocks[s], absolute=absolute)
-        return m.measure_ge(y)
-
-    def oscillation_exceedance(self, y, absolute: bool = False):
+    def oscillation_exceedance(self, y):
         """Product measure of {some factor oscillates to >= y}.
 
         Factors are independent, so the measure is
@@ -502,48 +478,7 @@ class ProductProcess:
         miss = Fraction(1)
         per_block = []
         for s in range(len(self.blocks)):
-            p = self.factor_max_event_measure(s, y, absolute=absolute)
+            p = self.factor_max_event_measure(s, y)
             per_block.append(p)
             miss *= (1 - p)
         return 1 - miss, per_block
-
-    def max_exceedance(self, y, absolute: bool = False):
-        """Exact product measure of {max over all times |X(t)(w)| >= y}.
-
-        Iterates the product of the per-factor body partitions; with at
-        most 4 small factors the atom count stays modest.
-        """
-        piecewise = []
-        for s, blk in enumerate(self.blocks):
-            cuts = set()
-            for t in blk.times:
-                cuts.update(blk.vectors[t].body.breakpoints)
-            cuts = sorted(cuts)
-            pieces = []
-            lo = ZERO
-            for b in cuts:
-                pieces.append((lo, b))
-                lo = b
-            piecewise.append(pieces)
-        total = ZERO
-        for combo in itertools.product(*piecewise):
-            measure = Fraction(1)
-            for lo, hi in combo:
-                measure *= hi - lo
-            if measure == 0:
-                continue
-            mx = None
-            for s, blk in enumerate(self.blocks):
-                shift = ZERO
-                for sp in range(s + 1, len(self.blocks)):
-                    shift = shift + self.factor_final(sp).body.eval(combo[sp][1])
-                fhi = combo[s][1]
-                for t in blk.times:
-                    val = blk.vectors[t].body.eval(fhi) + shift
-                    if absolute:
-                        val = val if 0 <= val else -val
-                    if mx is None or mx <= val:
-                        mx = val
-            if y <= mx:
-                total += measure
-        return total

@@ -25,9 +25,7 @@ __all__ = [
     "is_triadic_set",
     "generate",
     "GeneratedSetResult",
-    "rho",
     "rho_sums",
-    "monotonicity_checks",
     "CellPermutation",
     "continuity_verdict",
     "cantor_tail_norm_sq_oracle",
@@ -103,12 +101,6 @@ class GeneratedSetResult:
         self.index_pairs = index_pairs
 
 
-def rho(t, S) -> Fraction:
-    """Distance from t to the set S (an iterable of Fractions)."""
-    t = Fraction(t)
-    return min(abs(s - t) for s in S)
-
-
 def generate(A: PointSet) -> GeneratedSetResult:
     """Triadic envelope of A.
 
@@ -121,11 +113,11 @@ def generate(A: PointSet) -> GeneratedSetResult:
     pairs = set()
     for k in range(1, len(nums)):  # no half-open cell contains 0
         n = nums[k]
-        r = n - nums[k - 1]  # den * rho(t, A minus {t})
+        r = n - nums[k - 1]  # den * dist(t, A minus {t})
         if k + 1 < len(nums):
             r = min(r, nums[k + 1] - n)
         i = 1
-        while r * grid_size(i - 1) <= den:  # rho <= 3**-2**(i-1)
+        while r * grid_size(i - 1) <= den:  # dist <= 3**-2**(i-1)
             # the cell (c/size, (c+1)/size] holding n/den
             pairs.add((i, (n * grid_size(i) - 1) // den))
             i += 1
@@ -176,28 +168,6 @@ def rho_sums(A: PointSet, generated: PointSet = None):
     a = [n * (den // A.den) for n in A.nums]
     g = [n * (den // generated.den) for n in generated.nums]
     return Fraction(_nearest_sum(g, a), den), Fraction(_nearest_sum(a, g), den)
-
-
-def monotonicity_checks(A: PointSet, A1: PointSet) -> dict:
-    """Envelope monotonicity and the information-function comparison.
-
-    For A contained in A1 the envelopes nest; for any B the envelope's
-    information function dominates the original one pointwise.
-    """
-    if not set(A.points) <= set(A1.points):
-        raise ValueError("need A contained in A1")
-    gA = generate(A).generated
-    gA1 = generate(A1).generated
-    nested = set(gA.points) <= set(gA1.points)
-    hB = info_fn(A, base=3)
-    hg = info_fn(gA, base=3)
-    dominated = hB.pointwise_le(hg, tol=1e-12)
-    return {
-        "envelope_nested": nested,
-        "h_envelope_dominates": dominated,
-        "envelope": gA,
-        "envelope_larger": gA1,
-    }
 
 
 class CellPermutation:
@@ -262,10 +232,6 @@ class CellPermutation:
             bps.append(phi)
             vals.append(v)
         return StepFunction(bps, vals)
-
-    def is_identity(self) -> bool:
-        return all(p == r for r, p in enumerate(self.perm))
-
 
 def cantor_tail_norm_sq_oracle(k: int, depth: int = 400) -> Fraction:
     """Independent oracle for the squared tail norm of the Cantor
@@ -339,7 +305,7 @@ def continuity_verdict(B, t, window_sizes, depths=None, clip_floor=1) -> dict:
     return out
 
 
-def _trace_stabilized(trace, ratio_bound=0.85) -> bool:
+def _trace_stabilized(trace) -> bool:
     """Monotone trace with geometrically decaying increments.
 
     Geometric decay of the increments bounds the remaining growth by a
@@ -354,4 +320,4 @@ def _trace_stabilized(trace, ratio_bound=0.85) -> bool:
     d2 = trace[-1] - trace[-2]
     if d2 <= 1e-9:
         return True
-    return d1 > 0 and d2 / d1 <= ratio_bound
+    return d1 > 0 and d2 / d1 <= 0.85

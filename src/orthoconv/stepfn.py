@@ -42,7 +42,6 @@ from .exactnum import (
 
 __all__ = [
     "StepFunction",
-    "TriadicAtom",
     "grid_width",
     "grid_size",
     "pointwise",
@@ -128,41 +127,6 @@ def _weighted_sum(terms, den):
     for w, n in terms:
         total = total + (w * (n / den) if type(w) is float else w * Fraction(n, den))
     return total
-
-
-class TriadicAtom:
-    """Cell (n*w, (n+1)*w] of the level-i grid, w = 3**-(2**i)."""
-
-    __slots__ = ("level", "index")
-
-    def __init__(self, level: int, index: int):
-        n = grid_size(level)
-        if not 0 <= index < n:
-            raise ValueError("atom index %d out of range for level %d" % (index, level))
-        self.level = level
-        self.index = index
-
-    @property
-    def width(self) -> Fraction:
-        return grid_width(self.level)
-
-    def interval(self):
-        w = self.width
-        return (self.index * w, (self.index + 1) * w)
-
-    def contains(self, t) -> bool:
-        lo, hi = self.interval()
-        return lo < t <= hi
-
-    def __repr__(self):
-        return "TriadicAtom(level=%d, index=%d)" % (self.level, self.index)
-
-    def __eq__(self, other):
-        return (isinstance(other, TriadicAtom)
-                and (self.level, self.index) == (other.level, other.index))
-
-    def __hash__(self):
-        return hash((self.level, self.index))
 
 
 class StepFunction:
@@ -444,27 +408,6 @@ class StepFunction:
         ind = StepFunction.indicator(lo, hi) if lo < hi else StepFunction.constant(0)
         return self._binary(ind, lambda a, b: a * b)
 
-    def translate_scale(self, a, b) -> "StepFunction":
-        """Map this function on (0,1] onto the window (a,b], zero outside."""
-        a, b = Fraction(a), Fraction(b)
-        if not ZERO <= a < b <= ONE:
-            raise ValueError("bad window")
-        # on the lattice 1/(scale*den): a -> A*den, breakpoint n -> A*den + W*n
-        scale, (A, B) = lattice_of((a, b))
-        W = B - A
-        den = scale * self.den
-        start = A * self.den
-        nums, vals = [], []
-        if start:
-            nums.append(start)
-            vals.append(0)
-        nums.extend(start + W * n for n in self.nums)
-        vals.extend(self.values)
-        if nums[-1] < den:
-            nums.append(den)
-            vals.append(0)
-        return StepFunction.from_lattice(den, nums, vals)
-
     # -- integrals and norms ------------------------------------------
 
     def integral(self):
@@ -507,18 +450,6 @@ class StepFunction:
 
     def integral_sq(self):
         return _weighted_sum(((v * v, n) for v, n in self._lengths()), self.den)
-
-    def integral_sq_between(self, lo, hi):
-        """Integral of f**2 over (lo, hi]."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi <= lo:
-            return ZERO
-        scale, (lo_n, hi_n) = lattice_of((lo, hi))
-        return _sq_between(self.nums, self.values, scale, lo_n * self.den,
-                           hi_n * self.den, scale * self.den)
-
-    def l2_norm_sq(self):
-        return self.integral_sq()
 
     def l2_norm(self, exact: bool = False):
         s = self.integral_sq()

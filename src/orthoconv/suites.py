@@ -253,30 +253,15 @@ def suite_type_descent(seed=0, count=40):
 
 def _sparse_type5_fn(rng) -> StepFunction:
     j = 5
-    w1 = grid_width(j + 1)
-    wj = grid_width(j)
     base = Fraction(2) ** j
-    pieces = []
+    size = grid_size(j)  # level-(j+1) cells per level-j cell
+    runs = []
     for cell in rng.sample(range(6), 2):
-        lo = cell * wj
         for r in range(rng.randrange(2, 6)):
-            slo = lo + r * w1
-            pieces.append((slo, slo + w1,
-                           Fraction(2) ** (j + 1) + rng.randrange(0, 2 ** (2 * j))))
-    pieces.sort()
-    bps, vals = [], []
-    pos = ZERO
-    for slo, shi, v in pieces:
-        if slo > pos:
-            bps.append(slo)
-            vals.append(base)
-        bps.append(shi)
-        vals.append(v)
-        pos = shi
-    if pos < ONE:
-        bps.append(ONE)
-        vals.append(base)
-    return StepFunction(bps, vals)
+            lo = cell * size + r
+            v = Fraction(2) ** (j + 1) + rng.randrange(0, 2 ** (2 * j))
+            runs.append((lo, lo + 1, v - base))
+    return StepFunction.from_runs(grid_size(j + 1), runs) + base
 
 
 def suite_block_selection(seed=0, count=100):

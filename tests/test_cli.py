@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -435,3 +436,40 @@ def test_analyze_builds_one_tail_set_and_one_base3_function(indicator, tmp_path,
     assert run_cli(["analyze", str(src), "--indicator", indicator,
                     "--out", str(tmp_path / "rep.json")]) == 0
     assert sorted(calls) == ["info_fn base 2", "info_fn base 3", "tail_set"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze"], 1),
+    (["construct", "--k", "x"], 1),
+    (["bogus"], 1),
+    (["--help"], 0),
+])
+def test_argparse_exit_codes(argv, code, capsys):
+    # argparse's own exit code for a usage error is 2, the data-error code
+    assert run_cli(argv) == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "IN"],
+    ["construct", "--k", "1"],
+    ["cantor", "--depth", "4"],
+    ["verify", "--suite", "sandwich", "--count", "1"],
+])
+def test_unwritable_out_is_data_error(argv, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text('["1/3", "1/3", "1/3"]')
+    argv = [str(src) if a == "IN" else a for a in argv]
+    out = tmp_path / "missing" / "r.json"
+    assert _data_error(argv + ["--out", str(out)], capsys)
+
+
+def test_analyze_tail_set_beyond_int_digit_limit_is_budget_error(tmp_path, capsys):
+    # the tail point 1/((10**2200 + 1)**2 + 1) has a 4401-digit denominator
+    src = tmp_path / "in.json"
+    src.write_text('["1/%d", "1"]' % (10 ** 2200 + 1))
+    out = tmp_path / "rep.json"
+    assert run_cli(["analyze", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("budget error:")
+    assert str(sys.get_int_max_str_digits()) in err[0]
+    assert not out.exists()

@@ -9,7 +9,7 @@ import sympy
 from orthoconv.construct import (
     TernaryContext, bernstein_check, build_divergent,
     corollary_equal_blocks, corollary_union, digit_sum_fn, divergent_prefix,
-    example_process, grid_cert, hat_residue, householder_family, merge, nest,
+    grid_cert, hat_residue, householder_family, merge, nest,
     phi_family, split_increment, trivial_cert,
 )
 from orthoconv.info import PointSet
@@ -226,7 +226,8 @@ def test_grid_cert_refines_extra_points():
 
 
 def test_example_process_final_value():
-    cert, rep = example_process(1, unit_chi())
+    B = PointSet([0, F(1, 3), F(2, 3), 1])
+    rep = grid_cert(B, 0, 1, 1).verify_challenge(0, 1, unit_chi())
     X = rep["process"]
     final = X.vectors[X.times[-1]]
     target = (24 * exact_sqrt(3)) * unit_chi()
@@ -238,10 +239,9 @@ def test_example_process_final_value():
 
 
 def test_example_process_rescaled_window():
-    cert, rep = example_process(
-        1, unit_chi(), window=(F(1, 3), F(2, 3)),
-        B=PointSet([0, F(1, 4), F(5, 12), F(7, 12), F(3, 4), 1]),
-        interval=(F(1, 4), F(3, 4)))
+    B = PointSet([0, F(1, 4), F(5, 12), F(7, 12), F(3, 4), 1])
+    cert = grid_cert(B, F(1, 4), F(3, 4), 1)
+    rep = cert.verify_challenge(F(1, 3), F(2, 3), unit_chi())
     assert rep["final_value_ok"] and rep["membership_ok"]
     assert rep["gram_deviation"] == 0
     assert sympy.simplify(sympy.sympify(cert.y) - 4 * sympy.sqrt(F(1, 2))) == 0
@@ -405,8 +405,7 @@ def test_build_divergent_rejects_bad_sets():
 def test_build_divergent_large_max_event():
     # quantitative engine: the unit-scaled process exceeds 1 with measure
     # greater than 1/6 on a rich enough set
-    out = build_divergent(PointSet([F(n, 81) for n in range(82)]),
-                          check_gram=False)
+    out = build_divergent(PointSet([F(n, 81) for n in range(82)]))
     X = out["report"]["process"]
     m = maximal_function(X, absolute=True)
     thr = 24 * math.sqrt(3)  # unit rescaling of the exceedance level 1

@@ -7,7 +7,7 @@ import pytest
 
 from orthoconv.info import (
     CoefficientSeq, PointSet, cantor_info_fn, cantor_points, dyadic_floor,
-    dyadic_halffloor, info_fn, info_fn_closed, is_triadic_fn, is_type_level,
+    dyadic_halffloor, info_fn, is_triadic_fn, is_type_level,
     tail_set, type_level_representation,
 )
 from orthoconv.stepfn import StepFunction
@@ -75,15 +75,6 @@ def test_info_fn_base2():
     assert h.eval(F(1, 8)) == 2
     assert h.eval(F(3, 8)) == 2
     assert h.eval(F(3, 4)) == 1
-
-
-def test_info_fn_closed_agrees_off_set():
-    B = PointSet([0, F(1, 3), 1])
-    assert info_fn_closed(B, clip=100) == info_fn(B, 3)
-
-
-def test_info_fn_closed_trivial():
-    assert info_fn_closed(PointSet([0, 1]), clip=5) == StepFunction.constant(0)
 
 
 def test_cantor_depth3_values():

@@ -10,7 +10,7 @@ from orthoconv.info import PointSet, cantor_info_fn, cantor_points, info_fn
 from orthoconv.sets import (
     BASE_POINTS, CellPermutation, cantor_tail_integral_oracle,
     cantor_tail_norm_sq_oracle, continuity_verdict, generate,
-    is_triadic_set, monotonicity_checks, rho, rho_sums,
+    is_triadic_set, rho_sums,
 )
 from orthoconv.stepfn import StepFunction, grid_size, grid_width
 from orthoconv.vcalc import v_functional
@@ -65,7 +65,6 @@ def test_rho_and_sums_base():
     s1, s2 = rho_sums(A)
     assert s1 == F(2, 3)  # 1/3 + 1/3
     assert s2 == 0
-    assert rho(F(1, 3), A.points) == F(1, 3)
 
 
 def test_rho_sums_covering_case():
@@ -81,24 +80,8 @@ def test_envelope_geometry_suite():
     assert r["passed"], r
 
 
-def test_monotonicity_checks():
-    A = PointSet([0, F(1, 2), 1])
-    A1 = PointSet([0, F(1, 2), F(7, 9), 1])
-    rep = monotonicity_checks(A, A1)
-    assert rep["envelope_nested"]
-    assert rep["h_envelope_dominates"]
-    rep2 = monotonicity_checks(A, A)
-    assert rep2["envelope_nested"]
-
-
-def test_monotonicity_requires_inclusion():
-    with pytest.raises(ValueError):
-        monotonicity_checks(PointSet([0, F(1, 2), 1]), PointSet([0, F(1, 3), 1]))
-
-
 def test_cell_permutation_identity():
     cp = CellPermutation(0, 0, [0, 1, 2])
-    assert cp.is_identity()
     f = StepFunction.indicator(0, F(1, 9))
     assert cp.pushforward(f) == f
 

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from orthoconv.exactnum import exact_sqrt
 from orthoconv.stepfn import (
-    StepFunction, TriadicAtom, clip_min, cond_norm, grid_size,
+    StepFunction, _sq_between, clip_min, cond_norm, grid_size, lattice_of,
     pointwise, pos_part,
 )
 
@@ -60,7 +60,7 @@ def test_l2_norm_constant():
 
 def test_l2_norm_two_pieces():
     f = StepFunction([F(1, 3), F(1)], [1, 2])
-    assert f.l2_norm_sq() == F(3)
+    assert f.integral_sq() == F(3)
     assert f.l2_norm() == pytest.approx(math.sqrt(3))
 
 
@@ -101,15 +101,6 @@ def test_cond_norm_never_materializes_deep_grids():
     assert g.eval(F(1)) == 1
 
 
-def test_triadic_atom():
-    a = TriadicAtom(1, 4)
-    lo, hi = a.interval()
-    assert (lo, hi) == (F(4, 9), F(5, 9))
-    assert a.contains(F(5, 9)) and not a.contains(F(4, 9))
-    with pytest.raises(ValueError):
-        TriadicAtom(1, 9)
-
-
 def test_pointwise_ops_and_canonical_merge():
     f = StepFunction([F(1, 2), F(1)], [1, 3])
     g = StepFunction([F(1, 4), F(1)], [5, 1])
@@ -127,8 +118,6 @@ def test_restrict_and_translate():
     f = StepFunction.constant(2)
     r = f.restrict(F(1, 3), F(2, 3))
     assert r.integral() == F(2, 3)
-    t = StepFunction([F(1, 2), F(1)], [1, 0]).translate_scale(F(1, 3), F(2, 3))
-    assert t.eval(F(1, 2)) == 1 and t.eval(F(7, 12)) == 0 and t.eval(F(1, 6)) == 0
 
 
 # Denominators: small triadic and mixed ones, and 1000+-bit products of
@@ -255,16 +244,6 @@ def o_cond_norm(f, level):
     return o_canon(cuts, vals)
 
 
-def o_translate_scale(f, a, b):
-    bps, vals = ([a], [0]) if a > 0 else ([], [])
-    bps += [a + (b - a) * x for x in f[0]]
-    vals += f[1]
-    if b < 1:
-        bps.append(F(1))
-        vals.append(0)
-    return o_canon(bps, vals)
-
-
 def o_indicator(lo, hi):
     bps = [b for b in (lo, hi, F(1)) if b > 0]
     vals = ([0] if lo > 0 else []) + [1] + ([0] if hi < 1 else [])
@@ -302,14 +281,14 @@ def test_lattice_restrict_translate_integral_match_oracle(rf, x, y):
     f, o = StepFunction(*rf), o_canon(*rf)
     ind = o_indicator(lo, hi) if lo < hi else ([F(1)], [0])
     assert same(f.restrict(lo, hi), o_binary(o, ind, lambda a, b: a * b))
-    if lo < hi:
-        assert same(f.translate_scale(lo, hi), o_translate_scale(o, lo, hi))
     # windows starting at a breakpoint begin with a zero-length piece, which
     # turns an exact sum into a float when that piece holds a float
     windows = [(lo, hi), (F(0), hi), (lo, F(1)), (F(0), F(1))]
     windows += [(b, F(1)) for b in o[0][:-1]]
     for a, b in windows:
-        got, want = f.integral_sq_between(a, b), o_integral_sq_between(o, a, b)
+        scale, (a_n, b_n) = lattice_of((a, b))
+        got = _sq_between(f.nums, f.values, scale, a_n * f.den, b_n * f.den, scale * f.den)
+        want = o_integral_sq_between(o, a, b)
         assert (type(got), got) == (type(want), want)
     assert f.integral_sq() == o_integral_sq_between(o, F(0), F(1))
 
@@ -449,3 +428,41 @@ def test_type_reduction_corrections_match_fraction_builder(seed):
     assert f_pieces or g_pieces
     assert same_lattice(red.f_corr, fraction_runs_oracle(f_pieces))
     assert same_lattice(red.g_corr, fraction_runs_oracle(g_pieces))
+
+
+def sparse_type5_oracle(rng):
+    """The Fraction-breakpoint builder that ``suites._sparse_type5_fn``
+    replaced: 2**6 + r on random level-6 cells, the base 2**5 elsewhere."""
+    from orthoconv.stepfn import grid_width
+    j = 5
+    w1 = grid_width(j + 1)
+    wj = grid_width(j)
+    base = F(2) ** j
+    pieces = []
+    for cell in rng.sample(range(6), 2):
+        lo = cell * wj
+        for r in range(rng.randrange(2, 6)):
+            slo = lo + r * w1
+            pieces.append((slo, slo + w1, F(2) ** (j + 1) + rng.randrange(0, 2 ** (2 * j))))
+    pieces.sort()
+    bps, vals = [], []
+    pos = F(0)
+    for slo, shi, v in pieces:
+        if slo > pos:
+            bps.append(slo)
+            vals.append(base)
+        bps.append(shi)
+        vals.append(v)
+        pos = shi
+    if pos < 1:
+        bps.append(F(1))
+        vals.append(base)
+    return StepFunction(bps, vals)
+
+
+def test_sparse_type5_fn_matches_fraction_builder():
+    import random
+    from orthoconv.suites import _sparse_type5_fn
+    for seed in range(200):
+        got = _sparse_type5_fn(random.Random(seed))
+        assert same_lattice(got, sparse_type5_oracle(random.Random(seed))), seed
