@@ -19,6 +19,7 @@ exact values as strings alongside the floats where available.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -65,6 +66,28 @@ def _read_coefficients(path: str) -> CoefficientSeq:
     return CoefficientSeq(vals)
 
 
+def _out_error(out_path):
+    """The OSError that writing a report to out_path would meet, or None.
+
+    Decided before any work, without creating or truncating the file: an
+    existing file must be writable, and a new one needs a writable
+    directory.  stdout ("-") and /dev/null are writable.
+    """
+    if out_path in (None, "-"):
+        return None
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif os.path.exists(out_path):
+        code = None if os.access(out_path, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(out_path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOENT
+        else:
+            code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    return None if code is None else OSError(code, os.strerror(code), out_path)
+
+
 def _dump(obj, out_path) -> int:
     """Write the report; EXIT_DATA with one line when out_path cannot be written."""
     text = json.dumps(obj, sort_keys=True, indent=2)
@@ -94,7 +117,7 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return EXIT_DATA
-    # one tail set and one base-3 information function serve the whole report
+    # one tail set serves the whole report
     B = tail_set(seq)
     h = info_fn(B, base=3)
     h1 = h.maximum(1)
@@ -119,8 +142,7 @@ def cmd_analyze(args) -> int:
         "v_trace": trace.to_json(),
         "v_of_clipped_h": value,
         "clip_at_one": True,
-        "criteria": _jsonable(crit.full_report(seq, indicator=args.indicator,
-                                               B=B, H=h)),
+        "criteria": _jsonable(crit.full_report(seq, indicator=args.indicator, B=B)),
     }
     if _exact_mode():
         report["tail_set_exact"] = tail
@@ -324,6 +346,10 @@ def main(argv=None) -> int:
     if not getattr(args, "fn", None):
         parser.print_help()
         return EXIT_USAGE
+    err = _out_error(args.out)
+    if err is not None:
+        print("data error: %s" % err, file=sys.stderr)
+        return EXIT_DATA
     if getattr(args, "window", None) is None and args.command == "cantor":
         args.window = ["1/3"]
     return args.fn(args)

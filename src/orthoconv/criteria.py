@@ -9,12 +9,13 @@ is attached to them.  The slice convention for a positive number z is
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
 from .exactnum import log_ratio
 from .info import CoefficientSeq, info_fn, tail_set
-from .stepfn import clip_min
+from .stepfn import _rescale
 
 __all__ = [
     "rm_weyl",
@@ -69,39 +70,57 @@ def alpha_condition(seq: CoefficientSeq) -> float:
 
 
 def _nonzero_terms(seq: CoefficientSeq):
-    """(n, s, z, zf) for every nonzero term a_n, in order: s the float
-    square, z and zf as in ``CoefficientSeq.neg_log2_moduli``."""
-    return [(n, s, *zs) for n, (s, zs) in
-            enumerate(zip(seq.square_floats(), seq.neg_log2_moduli()), start=1)
-            if zs is not None]
+    """(n, num, s, z) for every nonzero term a_n, in order: num / seq.den
+    the exact square, s its float and z the float -log2 |a_n|."""
+    return [(n, num, s, z) for n, (num, s, z) in
+            enumerate(zip(seq.nums, seq.square_floats(), seq.neg_log2_moduli()), start=1)
+            if num]
 
 
-def _beta_block(z):
-    """Block index i >= 1 with 2**-2**(i+1) <= |a| < 2**-2**i, else None.
+class _Levels:
+    """Exact levels of ratios den / n > 0 for one base b: the largest
+    k >= 0 with n * b**(2**k) <= den (< den when strict), or -1.
 
-    Lower-closed upper-open in |a| as printed, i.e. 2**i < z <= 2**(i+1)
-    for z = -log2 |a| > 0.  Moduli >= 1/4 fall in no block (the residual
-    bucket).  Exact 2-power boundaries are classified exactly.
+    The powers b**(2**k) are kept as they are first needed.  A product
+    n * p has the bit length of n plus that of p, or one less.  So with t
+    the difference of the bit lengths of den and n, every power of fewer
+    than t bits stays below den and every one of more than t + 1 bits
+    exceeds it: only a power of t or t + 1 bits is multiplied out.
     """
-    if z <= 2:
-        return None
-    i = 1
-    while z > 2 ** (i + 1):
-        i += 1
-    return i
+
+    def __init__(self, base: int):
+        self.powers = [base]
+        self.bits = [base.bit_length()]
+
+    def __call__(self, n: int, den: int, strict: bool = False) -> int:
+        t = den.bit_length() - n.bit_length()
+        powers, bits = self.powers, self.bits
+        while bits[-1] <= t + 1:
+            powers.append(powers[-1] ** 2)
+            bits.append(powers[-1].bit_length())
+        k = bisect.bisect_left(bits, t) - 1
+        while bits[k + 1] <= t + 1:
+            m = n * powers[k + 1]
+            if not (m < den if strict else m <= den):
+                break
+            k += 1
+        return k
 
 
 def beta_condition(seq: CoefficientSeq) -> dict:
     """Block sums sum_i sqrt(sum over block i of a**2 log2(a)**2).
 
     Blocks are [2**-2**(i+1), 2**-2**i) in |a|, i >= 1, lower-closed
-    upper-open as printed; moduli >= 1/4 land in a reported residual.
+    upper-open as printed, decided exactly on the squares' integers;
+    moduli >= 1/4 land in a reported residual.
     """
     blocks = {}
     residual = []
-    for n, s, z, _ in _nonzero_terms(seq):
-        i = _beta_block(z)
-        if i is None:
+    level = _Levels(2)
+    for n, num, s, _ in _nonzero_terms(seq):
+        # 2**i < z <= 2**(i+1) exactly when 2**(i+1) < -log2(a**2) <= 2**(i+2)
+        i = level(num, seq.den, strict=True) - 1
+        if i < 1:
             residual.append(n)
             continue
         blocks.setdefault(i, 0.0)
@@ -121,31 +140,43 @@ def _slice(z: float, i: int) -> float:
     return min(z, 2.0 ** (i + 1)) - min(z, 2.0 ** i)
 
 
-def gamma_condition(seq: CoefficientSeq) -> dict:
+def _slice_sums(terms) -> list:
+    """sum_n a_n**2 z_i**2 for the slices i >= 1, in the order of the
+    terms (index 0 unused).
+
+    A term adds to the slices below its top only, those with z > 2**i:
+    above it z_i = 0, and the additions skipped there are +0.0.
+    """
+    sums = [0.0]
+    for _, _, s, z in terms:
+        i, lo = 1, 2.0
+        while z > lo:
+            if i == len(sums):
+                sums.append(0.0)
+            hi = 2 * lo
+            sums[i] += s * ((z if z < hi else hi) - lo) ** 2  # s * _slice(z, i)**2
+            i, lo = i + 1, hi
+    return sums
+
+
+def gamma_condition(seq: CoefficientSeq, slice_sums=None) -> dict:
     """Slice sums sum_{i>=1} sqrt(sum_n a_n**2 z_i**2) with z = -log2 a_n.
 
     Requires nonnegative coefficients; zero terms are skipped.  The i=0
-    slice is reported separately for transparency.
+    slice is reported separately for transparency.  A caller that has
+    the slice sums of ``seq`` passes them in.
     """
     if any(c < 0 for c in seq.coeffs):
         raise ValueError("the slice criterion assumes a_n >= 0")
-    imax = 0
-    sz = [(s, zf) for _, s, _, zf in _nonzero_terms(seq)]
-    for _, z in sz:
-        if z > 2.0:
-            imax = max(imax, int(math.ceil(math.log2(z))))
-    terms = {}
-    for i in range(1, imax + 1):
-        tot = 0.0
-        for s, z in sz:
-            tot += s * _slice(z, i) ** 2
-        if tot:
-            terms[i] = math.sqrt(tot)
-    slice0 = math.sqrt(sum(s * _slice(z, 0) ** 2 for s, z in sz) or 0.0)
+    nonzero = _nonzero_terms(seq)
+    if slice_sums is None:
+        slice_sums = _slice_sums(nonzero)
+    terms = {i: math.sqrt(tot) for i, tot in enumerate(slice_sums) if i and tot}
+    slice0 = math.sqrt(sum(s * _slice(z, 0) ** 2 for _, _, s, z in nonzero) or 0.0)
     return {"terms": terms, "sum": sum(terms.values()), "slice0": slice0}
 
 
-def sandwich_check(seq: CoefficientSeq) -> dict:
+def sandwich_check(seq: CoefficientSeq, slice_sums=None) -> dict:
     """Two-sided bounds tying the block form to the slice form.
 
     With u_i the indicator of {n : 2**i <= -log2 a_n < 2**(i+1)} in the
@@ -157,30 +188,29 @@ def sandwich_check(seq: CoefficientSeq) -> dict:
 
     and the chain B- <= A+ <= B+ holds along with A- <= slice sum <= A+
     and B- <= block sum <= B+ (block boundaries in the z convention,
-    upper-closed in |a|).
+    upper-closed in |a|, decided exactly).  A caller that has the slice
+    sums of ``seq`` passes them in.
     """
     if any(c < 0 for c in seq.coeffs):
         raise ValueError("assumes a_n >= 0")
     weights = {}   # i -> sum of a_n**2 over the i-th z-block, i >= 1
-    gamma_terms = {}
     beta_terms = {}
     terms = _nonzero_terms(seq)
-    for _, s, z, _ in terms:
-        if z < 2:
+    level = _Levels(2)
+    for _, num, s, z in terms:
+        # 2**i <= z < 2**(i+1) exactly when 2**(i+1) <= -log2(a**2) < 2**(i+2)
+        i = level(num, seq.den) - 1
+        if i < 1:
             continue
-        i = 1
-        while z >= 2 ** (i + 1):
-            i += 1
         weights.setdefault(i, 0.0)
         weights[i] += s
         beta_terms.setdefault(i, 0.0)
-        beta_terms[i] += s * float(z) ** 2
+        beta_terms[i] += s * z ** 2
     imax = max(weights) if weights else 0
-    for i in range(1, imax + 1):
-        tot = 0.0
-        for _, s, _, zf in terms:
-            tot += s * _slice(zf, i) ** 2
-        gamma_terms[i] = math.sqrt(tot)
+    if slice_sums is None:
+        slice_sums = _slice_sums(terms)
+    gamma_terms = {i: math.sqrt(slice_sums[i] if i < len(slice_sums) else 0.0)
+                   for i in range(1, imax + 1)}
     norm_sq = {i: weights.get(i, 0.0) for i in range(1, imax + 1)}
     tail = {}
     running = 0.0
@@ -226,8 +256,7 @@ def tandori_sum(seq: CoefficientSeq) -> dict:
     return {"terms": terms, "sum": sum(terms.values()), "below_blocks": below}
 
 
-def theorem_conditions(seq: CoefficientSeq, indicator: str = "I",
-                       B=None, H=None) -> dict:
+def theorem_conditions(seq: CoefficientSeq, indicator: str = "I", B=None) -> dict:
     """The three information-function criteria for the tail partition.
 
     Uses the base-2 information function J of the tail set:
@@ -235,41 +264,98 @@ def theorem_conditions(seq: CoefficientSeq, indicator: str = "I",
       beta1  = sum_{i>=1} ||J 1_(2**i <= X < 2**(i+1))||  with X = J
                (switch X to the base-3 function H via indicator='H'),
       gamma1 = sum_{i>=0} ||J_i|| over the standard slices.
-    A caller that has built the tail set B of ``seq`` or its base-3
-    information function H passes them in, and they are not rebuilt.
+    A caller that has built the tail set B of ``seq`` passes it in, and it
+    is not rebuilt.
+
+    One walk over the pieces of J, and the gaps of B inside them, gives
+    all three.  The X-block of a gap g is decided exactly, on the
+    integers: X >= 2**i when g * base**(2**i) <= B.den.  The norms have
+    the values, types and float bits of the composed ``(J * ind).l2_norm()``
+    and ``(clip_min(J, 2**(i+1)) - clip_min(J, 2**i)).l2_norm()``: each
+    term of a sum is one run of equal values of those functions' canonical
+    forms, in order.
     """
     if B is None:
         B = tail_set(seq)
     J = info_fn(B, base=2)
-    alpha1 = J.l2_norm()
-    if indicator == "I":
-        X = J
-    else:
-        X = info_fn(B, base=3) if H is None else H
-    xmax = float(X.max_value())
-    beta_terms = {}
-    i = 1
-    while 2 ** i <= max(xmax, 2.0):
-        ind = X.indicator_ge(2 ** i) - X.indicator_ge(2 ** (i + 1))
-        term = (J * ind).l2_norm()
-        if term:
-            beta_terms[i] = term
-        i += 1
-    jmax = float(J.max_value())
-    gamma_terms = {}
-    i = 0
-    while True:
-        lo = 0 if i == 0 else 2 ** i
-        hi = 2 if i == 0 else 2 ** (i + 1)
-        piece = clip_min(J, hi) - clip_min(J, lo) if i else clip_min(J, 2)
-        term = piece.l2_norm()
-        if term:
-            gamma_terms[i] = term
-        if hi >= jmax:
-            break
-        i += 1
+    den, bn = B.den, B.nums
+    level = _Levels(2 if indicator == "I" else 3)
+    # J's values are all ints, and the sums exact, or all floats; a float
+    # sum adds w * (n / den) per run, or (w * n) / den for an int w
+    exact = type(J.values[0]) is int
+    alpha = 0
+    beta = {}   # X-block i -> sum of J**2 over it
+    gamma = {}  # slice i -> sum of J_i**2
+    # the runs of pieces with J >= 2**k, k >= 1: where each starts, and
+    # whether clipping J at 2**k keeps the int 2**k on it (not when J
+    # equals the float 2**k on its first piece)
+    run_lo, run_int = [0], [True]
+
+    def add(acc, i, w, n):
+        if exact:
+            acc[i] = acc.get(i, 0) + w * n
+        else:
+            acc[i] = acc.get(i, 0.0) + (w * (n / den) if type(w) is float else (w * n) / den)
+
+    def end_run(j, n):
+        # on a run at or above 2**j, slice j-1 is 2**(j-1) (slice 0 is 2),
+        # an int when both clips keep their ints
+        w = 4 ** (j - 1) if j > 1 else 4
+        if not (exact or run_int[j] and (j == 1 or run_int[j - 1])):
+            w = float(w)
+        add(gamma, j - 1, w, n)
+
+    t = lo = top = 0
+    for hi, v in zip(_rescale(J.nums, den // J.den), J.values):
+        n = hi - lo
+        vv = v * v
+        alpha += vv * n if exact else vv * (n / den)
+        # beta: the gaps of this piece, in runs of one X-block
+        blk = run = 0
+        g_prev = None
+        while bn[t] < hi:
+            g = bn[t + 1] - bn[t]
+            if g != g_prev:
+                g_prev = g
+                i = level(g, den)
+            if i != blk:
+                if blk > 0:
+                    add(beta, blk, vv, run)
+                blk, run = i, 0
+            run += g
+            t += 1
+        if blk > 0:
+            add(beta, blk, vv, run)
+        # gamma: 2**k <= v < 2**(k+1), or k = 0 below 2
+        if v < 2:
+            k = 0
+        else:
+            k = v.bit_length() - 1 if exact else math.frexp(v)[1] - 1
+        for j in range(top, k, -1):
+            end_run(j, lo - run_lo[j])
+        for j in range(top + 1, k + 1):
+            if j == len(run_lo):
+                run_lo.append(0)
+                run_int.append(True)
+            run_lo[j] = lo
+            run_int[j] = v != 1 << j
+        d = v - (1 << k) if k else v
+        if d:
+            add(gamma, k, d * d, n)
+        top = k
+        lo = hi
+    for j in range(top, 0, -1):
+        end_run(j, den - run_lo[j])
+    if exact:
+        alpha = Fraction(alpha, den)
+    beta_terms, gamma_terms = {}, {}
+    for acc, terms in ((beta, beta_terms), (gamma, gamma_terms)):
+        for i in sorted(acc):
+            term = float(Fraction(acc[i], den) if exact else acc[i]) ** 0.5
+            if term:
+                terms[i] = term
     return {
-        "alpha1": alpha1,
+        "alpha1": float(alpha) ** 0.5,
         "beta1_terms": beta_terms, "beta1": sum(beta_terms.values()),
         "gamma1_terms": gamma_terms, "gamma1": sum(gamma_terms.values()),
         "indicator_variant": indicator,
@@ -303,20 +389,21 @@ def measure_criterion(atom_probs) -> dict:
     return {"terms": terms, "sum": sum(terms.values())}
 
 
-def full_report(seq: CoefficientSeq, indicator: str = "I", B=None, H=None) -> dict:
+def full_report(seq: CoefficientSeq, indicator: str = "I", B=None) -> dict:
     """All criteria bundled, as used by the analyze front end.
 
-    The criteria read the moduli of the normalized sequence.  B and H, the
-    tail set and its base-3 information function, are passed on to
-    ``theorem_conditions``.
+    The criteria read the moduli of the normalized sequence.  B, the tail
+    set, is passed on to ``theorem_conditions``; the slice sums are
+    computed once, for ``gamma_condition`` and ``sandwich_check``.
     """
     seq = seq.normalized()
+    slice_sums = _slice_sums(_nonzero_terms(seq))
     report = {
         "beta": beta_condition(seq),
-        "gamma": gamma_condition(seq),
-        "sandwich": sandwich_check(seq),
+        "gamma": gamma_condition(seq, slice_sums),
+        "sandwich": sandwich_check(seq, slice_sums),
         "tandori": tandori_sum(seq),
-        "information": theorem_conditions(seq, indicator=indicator, B=B, H=H),
+        "information": theorem_conditions(seq, indicator=indicator, B=B),
     }
     if seq.moduli_decreasing():
         report["alpha"] = alpha_condition(seq)

@@ -102,27 +102,15 @@ class CoefficientSeq:
         return self._floats
 
     def neg_log2_moduli(self):
-        """z = -log2 |a_n| per term, as ``(z, zf)``, or None for a zero term.
-
-        zf is the float -0.5 log2(n / den), computed as for the reduced
-        Fraction also where the square is below the float range; z is the
-        exact Fraction m/2 when the square is 2**-m, and zf otherwise.
+        """The float -log2 |a_n| = -0.5 log2(n / den) per term, or None for
+        a zero term; computed as for the reduced Fraction also where the
+        square is below the float range.  Block decisions on these values
+        are made on the integers ``nums`` and ``den`` instead.
         """
         if self._neg_log2 is None:
             den = self.den
-            out = []
-            for n in self.nums:
-                if not n:
-                    out.append(None)
-                    continue
-                zf = -0.5 * log_ratio(n, den, math.log2)
-                z = zf
-                if den % n == 0:  # the reduced square is 1/d
-                    d = den // n
-                    if d & (d - 1) == 0:
-                        z = Fraction(d.bit_length() - 1, 2)
-                out.append((z, zf))
-            self._neg_log2 = tuple(out)
+            self._neg_log2 = tuple(-0.5 * log_ratio(n, den, math.log2) if n else None
+                                   for n in self.nums)
         return self._neg_log2
 
     def __len__(self):

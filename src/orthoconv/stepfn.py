@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from fractions import Fraction
 
 from .exactnum import (
@@ -52,6 +53,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONAL_TYPES = frozenset((int, Fraction))
 _REAL_TYPES = frozenset((int, Fraction, float))
 
 
@@ -109,16 +111,27 @@ def _weighted_sum(terms, den):
     Fraction and float weights: integer divisions, no Fraction per term.
     """
     terms = list(terms)
-    if all(type(w) is int or type(w) is Fraction for w, _ in terms):
+    types = {type(w) for w, _ in terms}
+    if types <= _RATIONAL_TYPES:
+        if Fraction not in types:
+            return Fraction(sum(w * n for w, n in terms), den)
         lcm = math.lcm(*(w.denominator for w, _ in terms))
         return Fraction(sum(w.numerator * (lcm // w.denominator) * n for w, n in terms),
                         lcm * den)
-    if all(type(w) in _REAL_TYPES for w, _ in terms):
+    if types <= _REAL_TYPES:
+        total = 0.0
+        if len(types) == 1:  # floats only
+            for w, n in terms:
+                total += w * (n / den)
+            return total
         # the rational terms before the first float sum exactly; from there
         # on the sum is a float, and a rational term adds its correctly
         # rounded float, p*n / (q*den) for w = p/q, as a Fraction would
-        k = next(i for i, (w, _) in enumerate(terms) if type(w) is float)
-        total = float(_weighted_sum(terms[:k], den)) if k else 0.0
+        k = 0
+        while type(terms[k][0]) is not float:
+            k += 1
+        if k:
+            total = float(_weighted_sum(terms[:k], den))
         for w, n in terms[k:]:
             total += (w * (n / den) if type(w) is float
                       else (w.numerator * n) / (w.denominator * den))
@@ -178,6 +191,14 @@ class StepFunction:
             vals.append(0)
         return cls.from_lattice(den, nums, vals)
 
+    @classmethod
+    def _reduced(cls, den: int, nums, values) -> "StepFunction":
+        """Function from canonical runs: valid breakpoints, no two adjacent
+        values equal.  Only the lattice is reduced."""
+        f = cls.__new__(cls)
+        f._hold(den, nums, values)
+        return f
+
     def _set(self, den, nums, values):
         vals = list(values)
         if len(nums) != len(vals):
@@ -198,13 +219,16 @@ class StepFunction:
                 cvals.append(v)
         if prev != den:
             raise ValueError("last breakpoint must be 1")
-        g = math.gcd(den, *cnums)
+        self._hold(den, cnums, cvals)
+
+    def _hold(self, den, nums, values):
+        g = math.gcd(den, *nums)
         if g > 1:
             den //= g
-            cnums = [n // g for n in cnums]
+            nums = [n // g for n in nums]
         self.den = den
-        self.nums = tuple(cnums)
-        self.values = tuple(cvals)
+        self.nums = tuple(nums)
+        self.values = tuple(values)
         self._breakpoints = None
 
     @property
@@ -259,10 +283,8 @@ class StepFunction:
 
     def _lengths(self):
         """(value, piece length in units of 1/den) for every piece."""
-        prev = 0
-        for n, v in zip(self.nums, self.values):
-            yield v, n - prev
-            prev = n
+        nums = self.nums
+        return zip(self.values, map(operator.sub, nums, (0,) + nums[:-1]))
 
     def eval(self, t):
         t = Fraction(t)
@@ -449,7 +471,7 @@ class StepFunction:
         return _weighted_sum(terms, den)
 
     def integral_sq(self):
-        return _weighted_sum(((v * v, n) for v, n in self._lengths()), self.den)
+        return _weighted_sum([(v * v, n) for v, n in self._lengths()], self.den)
 
     def l2_norm(self, exact: bool = False):
         s = self.integral_sq()
@@ -491,41 +513,6 @@ def _rescale(nums, k: int):
     return nums if k == 1 else [n * k for n in nums]
 
 
-def _pieces_between(nums, values, k, lo, hi):
-    """(value, length) of f's pieces over (lo, hi], breakpoints at n*k."""
-    # piece i covers (nums[i-1], nums[i]]; lo sits strictly before its end,
-    # or at it, which adds a zero-length term (as summing Fractions would)
-    i = bisect.bisect_left(nums, _ceil_div(lo, k))
-    terms = []
-    pos = lo
-    while pos < hi:
-        end = nums[i] * k
-        seg_hi = end if end < hi else hi
-        terms.append((values[i], seg_hi - pos))
-        pos = seg_hi
-        i += 1
-    return terms
-
-
-def _sq_between(nums, values, k, lo, hi, den):
-    """Integral of f**2 over (lo/den, hi/den], f's breakpoints at n*k/den."""
-    return _weighted_sum([(v * v, n) for v, n in _pieces_between(nums, values, k, lo, hi)],
-                         den)
-
-
-def _exact_mean_sq(nums, values, lo, w):
-    """Mean of f**2 over the cell (lo, lo + w], float values taken exactly.
-
-    A float result if any value is a float, else the exact mean.  For
-    cells whose float width underflows to 0, where summing float pieces
-    of the unit interval and dividing by the width cannot work.
-    """
-    terms = _pieces_between(nums, values, 1, lo, lo + w)
-    mean = _weighted_sum([(Fraction(v) ** 2 if type(v) is float else v * v, n)
-                          for v, n in terms], w)
-    return float(mean) if any(type(v) is float for v, _ in terms) else mean
-
-
 _OPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
@@ -562,47 +549,69 @@ def cond_norm(f: StepFunction, level: int, exact: bool = False) -> StepFunction:
     """
     if not f.is_nonnegative():
         raise ValueError("cond_norm requires a nonnegative function")
+    return StepFunction._reduced(*_cond_runs(f.den, f.nums, f.values, level, exact))
+
+
+def _cond_runs(den, nums, values, level, exact):
+    """cond_norm of the function with values ``values`` on the pieces
+    ending at n / den for n in nums, as (lattice, breakpoints, values):
+    canonical, but not reduced.
+
+    One forward walk: a piece ending inside a cell marks that cell, whose
+    mean of f**2 is summed over the pieces it meets and replaces them.
+    The sum takes f's pieces as ``_weighted_sum`` terms in order, cut at
+    the cell ends; a cell that starts where a piece ends begins with that
+    piece as a term of length 0, which sends a sum with a float value
+    there down the float path.
+    """
     size = grid_size(level)
+    lat = math.lcm(den, size)
+    nums = _rescale(nums, lat // den)
+    w = lat // size  # cell width in lattice units
     width = grid_width(level)
-    # one lattice holding both f and the grid; coarser grids divide it too
-    den = math.lcm(f.den, size)
-    nums = _rescale(f.nums, den // f.den)
-    w = den // size  # cell width in lattice units
-
-    # cells containing a breakpoint strictly inside need averaging
-    marked = []
-    for n in nums[:-1]:
-        idx, r = divmod(n, w)
-        if r and (not marked or marked[-1] != idx):
-            marked.append(idx)
-
-    # from level 10 on (3**-1024) the float width is 0
-    tiny = not float(width)
-    cell_rms = {}
-    for idx in marked:
-        lo = idx * w
-        if tiny:
-            mean = _exact_mean_sq(nums, f.values, lo, w)
+    wf = float(width)
+    tiny = not wf  # from level 10 on (3**-1024) the float width is 0
+    out_n, out_v = [], []
+    i = pos = 0
+    while pos < lat:
+        b, v = nums[i], values[i]
+        r = b % w
+        if r:  # piece i ends inside the cell (c0, c1]
+            c0 = b - r
+            c1 = c0 + w
+            if pos < c0:
+                if out_v and out_v[-1] == v:
+                    out_n[-1] = c0
+                else:
+                    out_n.append(c0)
+                    out_v.append(v)
+            terms = [(values[i - 1], 0)] if i and nums[i - 1] == c0 else []
+            lo = c0
+            while b < c1:
+                terms.append((v, b - lo))
+                lo = b
+                i += 1
+                b, v = nums[i], values[i]
+            terms.append((v, c1 - lo))
+            if tiny:
+                mean = _weighted_sum([(Fraction(t) ** 2 if type(t) is float else t * t, n)
+                                      for t, n in terms], w)
+                if any(type(t) is float for t, _ in terms):
+                    mean = float(mean)
+            else:
+                mean = _weighted_sum([(t * t, n) for t, n in terms], lat)
+                # a float meets width as float(width), as Fraction's operator would
+                mean = mean / wf if type(mean) is float else mean / width
+            v = exact_sqrt(mean) if exact else float(mean) ** 0.5
+            pos = c1
+            if b == c1:
+                i += 1
         else:
-            mean = _sq_between(nums, f.values, 1, lo, lo + w, den) / width
-        cell_rms[idx] = exact_sqrt(mean) if exact else float(mean) ** 0.5
-
-    # cut the function at marked-cell boundaries, then rewrite values
-    cuts = set(nums)
-    for idx in marked:
-        cuts.add(idx * w)
-        cuts.add((idx + 1) * w)
-    cuts.discard(0)
-    bps = sorted(cuts)
-
-    vals = []
-    i = 0
-    lo = 0
-    two_w = 2 * w
-    for b in bps:
-        while nums[i] < b:
+            pos = b
             i += 1
-        rms = cell_rms.get((lo + b) // two_w)
-        vals.append(f.values[i] if rms is None else rms)
-        lo = b
-    return StepFunction.from_lattice(den, bps, vals)
+        if out_v and out_v[-1] == v:
+            out_n[-1] = pos
+        else:
+            out_n.append(pos)
+            out_v.append(v)
+    return lat, out_n, out_v

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .info import type_level_representation
-from .stepfn import StepFunction, cond_norm, grid_size, pos_part
+from .stepfn import StepFunction, _cond_runs, _rescale, cond_norm, grid_size, pos_part
 
 __all__ = [
     "VTrace",
@@ -74,9 +74,50 @@ class VTrace:
 
 
 def v_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
-    """(h ^ 2**j) + ||(h - 2**j)^+||_j."""
+    """(h ^ 2**j) + ||(h - 2**j)^+||_j.
+
+    One walk over h's pieces forms the canonical runs of h ^ 2**j and
+    (h - 2**j)^+, each run keeping its first value as the step-function
+    constructor does; the conditional norm walks the second, and the sum
+    walks both results.  Values, value types and float bits are those of
+    the composed ``h.minimum(c) + cond_norm(pos_part(h, c), j)``.
+    """
     c = 1 << j
-    return h.minimum(c) + cond_norm(pos_part(h, c), j, exact=exact)
+    mn, mv, pn, pv = [], [], [], []
+    for n, v in zip(h.nums, h.values):
+        a = v if v <= c else c
+        if mv and mv[-1] == a:
+            mn[-1] = n
+        else:
+            mn.append(n)
+            mv.append(a)
+        p = v - c if c <= v else 0 * v
+        if pv and pv[-1] == p:
+            pn[-1] = n
+        else:
+            pn.append(n)
+            pv.append(p)
+    if not all(0 <= p for p in pv):
+        raise ValueError("cond_norm requires a nonnegative function")
+    den, cn, cv = _cond_runs(h.den, pn, pv, j, exact)
+    mn = _rescale(mn, den // h.den)
+    nums, vals = [], []
+    ia = ib = 0
+    while True:
+        x, y = mn[ia], cn[ib]
+        s = mv[ia] + cv[ib]
+        if x <= y:
+            ia += 1
+        if y <= x:
+            ib += 1
+            x = y
+        if vals and vals[-1] == s:
+            nums[-1] = x
+        else:
+            nums.append(x)
+            vals.append(s)
+        if x == den:
+            return StepFunction._reduced(den, nums, vals)
 
 
 def v_bar_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
@@ -102,11 +143,11 @@ def v_composite(h: StepFunction, j_lo: int, j_hi: int,
 
 def stabilization_level(h: StepFunction) -> int:
     """ceil(log2(max(h, 1))): V_j acts as the identity above this level."""
-    m = max(float(h.max_value()), 1.0)
-    i = max(0, math.ceil(math.log2(m)))
-    while not h.max_value() <= 2 ** i:
+    top = h.max_value()
+    i = max(0, math.ceil(math.log2(max(float(top), 1.0))))
+    while not top <= 2 ** i:
         i += 1
-    while i > 0 and h.max_value() <= 2 ** (i - 1):
+    while i > 0 and top <= 2 ** (i - 1):
         i -= 1
     return i
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -473,3 +474,61 @@ def test_analyze_tail_set_beyond_int_digit_limit_is_budget_error(tmp_path, capsy
     assert len(err) == 1 and err[0].startswith("budget error:")
     assert str(sys.get_int_max_str_digits()) in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, slow", [
+    (["analyze", "IN"], "orthoconv.cli.tail_set"),
+    (["construct", "--k", "6"], "orthoconv.construct.phi_family"),
+    (["verify", "--seed", "0"], "orthoconv.cli.run_suites"),
+])
+def test_unwritable_out_fails_before_any_work(argv, slow, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(slow, refuse)
+    src = tmp_path / "in.json"
+    src.write_text('["1/3", "1/3", "1/3"]')
+    argv = [str(src) if a == "IN" else a for a in argv]
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert _data_error(argv + ["--out", str(out)], capsys)
+
+
+def test_read_only_out_is_data_error_and_left_unchanged(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text('["1/3", "1/3", "1/3"]')
+    out = tmp_path / "r.json"
+    out.write_text("old report\n")
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):
+        pytest.skip("file permissions do not bind this user")
+    assert _data_error(["analyze", str(src), "--out", str(out)], capsys)
+    assert out.read_text() == "old report\n"
+
+
+@pytest.mark.parametrize("out", ["-", "/dev/null"])
+def test_stdout_and_dev_null_stay_writable(out, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text('["1/3", "1/3", "1/3"]')
+    assert run_cli(["analyze", str(src), "--out", out]) == 0
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("name, indicator", [
+    ("analyze_rational", "I"), ("analyze_rational", "H"),
+    ("analyze_power2", "I"), ("analyze_power2", "H"),
+    ("analyze_power3", "I"), ("analyze_power3", "H"),
+    ("analyze_increasing", "I"),
+])
+def test_analyze_report_matches_recorded_bytes(name, indicator, tmp_path, monkeypatch):
+    # reports recorded before the one-walk V step and information criteria:
+    # a rational input that prints the normalization notice, 2- and
+    # 3-power inputs with decreasing moduli, and 2-powers increasing
+    monkeypatch.delenv("ORTHO_EXACT", raising=False)
+    src = os.path.join(DATA, name + ".json")
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", src, "--indicator", indicator, "--out", str(out)]) == 0
+    got = out.read_text().replace(json.dumps(src), json.dumps("IN"))
+    with open(os.path.join(DATA, "%s_%s.report.json" % (name, indicator)), encoding="utf-8") as fh:
+        assert got == fh.read()

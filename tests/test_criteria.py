@@ -249,17 +249,23 @@ def o_alpha(squares):
     return total
 
 
+def o_z_above(sq, e, strict=True):
+    """z = -log2 |a| > e (>= e unless strict) for the square sq = a**2,
+    decided on Fractions: sq < 2**(-2e)."""
+    bound = F(1, 2 ** (2 * e))
+    return sq < bound if strict else sq <= bound
+
+
 def o_beta(squares):
     blocks, residual = {}, []
     for n, sq in enumerate(squares, start=1):
         if sq == 0:
             continue
-        z = o_neg_log2_modulus(sq)
-        if z <= 2:
+        if not o_z_above(sq, 2):
             residual.append(n)
             continue
         i = 1
-        while z > 2 ** (i + 1):
+        while o_z_above(sq, 2 ** (i + 1)):
             i += 1
         s = float(sq)
         blocks.setdefault(i, 0.0)
@@ -297,10 +303,10 @@ def o_sandwich(squares):
         if sq == 0:
             continue
         z = o_neg_log2_modulus(sq)
-        if z < 2:
+        if not o_z_above(sq, 2, strict=False):
             continue
         i = 1
-        while z >= 2 ** (i + 1):
+        while o_z_above(sq, 2 ** (i + 1), strict=False):
             i += 1
         weights.setdefault(i, 0.0)
         weights[i] += float(sq)
@@ -404,7 +410,7 @@ def check_against_oracle(seq, want_squares):
     assert norm.squares == tuple(osq) and norm.total == 1
     assert math.gcd(norm.den, *norm.nums) == 1
     assert repr(norm.neg_log2_moduli()) == repr(tuple(
-        None if s == 0 else (o_neg_log2_modulus(s), o_neg_log2_float(s)) for s in osq))
+        None if s == 0 else o_neg_log2_float(s) for s in osq))
     assert all(c >= 0 for c in norm.coeffs)
     assert tail_set(norm) == tail_set(seq)
     assert bits(beta_condition(norm)) == bits(o_beta(osq))
@@ -442,7 +448,43 @@ def test_neg_log2_below_float_range_reads_the_reduced_square():
 def test_full_report_reuses_a_given_tail_set():
     seq = seq_from_squares([F(1, 2), F(1, 8), F(1, 8), F(1, 4)])
     B = tail_set(seq)
-    H = info_fn(B, base=3)
     for indicator in ("I", "H"):
         want = full_report(seq, indicator=indicator)
-        assert full_report(seq, indicator=indicator, B=B, H=H) == want
+        assert full_report(seq, indicator=indicator, B=B) == want
+
+
+# -- block membership decided on the integers ------------------------------
+# Each input puts a square or a gap within 1e-30 (relative) of a block
+# boundary, where the float -log2 rounds onto the boundary.
+
+def test_beta_block_of_a_square_just_below_a_two_power():
+    # a_1**2 = (1 - 1e-30)**2 / 65536(1 - ...) lies just below 2**-16, so
+    # z = -log2 a_1 > 8 and the term is in block 3 (8 < z <= 16), though its
+    # float z is 8.0; a_5**2 lies just above 2**-16, so its z-block in the
+    # sandwich is 2 (4 <= z < 8), not 3
+    seq = CoefficientSeq([1 - F(1, 10 ** 30), 255, 22, 5, 1]).normalized()
+    zf = seq.neg_log2_moduli()
+    assert zf[0] == zf[4] == 8.0
+    assert seq.squares[0] < F(1, 2 ** 16) < seq.squares[4]
+    rep = beta_condition(seq)
+    assert sorted(rep["terms"]) == [1, 2, 3]
+    s1 = seq.square_floats()[0]
+    assert rep["terms"][3] == math.sqrt(s1 * math.log2(math.sqrt(s1)) ** 2)
+    assert bits(rep) == bits(o_beta(seq.squares))
+    assert bits(sandwich_check(seq)) == bits(o_sandwich(seq.squares))
+
+
+def test_beta1_block_of_a_gap_just_above_two_power():
+    # the gap of a_1 in the tail set is c**2 / (c**2 + 15): 2**-4 for c = 1,
+    # just above it for c = 1 + 1e-30 (J just below 4: block 1) and just
+    # below it for c = 1 - 1e-30, where the gaps of a_4 and a_5 are just
+    # above 2**-4 instead; J is the float 4.0 on all of them
+    eps = F(1, 10 ** 30)
+    terms = {}
+    for c in (1 - eps, F(1), 1 + eps):
+        seq = CoefficientSeq([c, 3, 2, 1, 1]).normalized()
+        assert info_fn(tail_set(seq), base=2).values[-1] == 4.0
+        terms[c] = theorem_conditions(seq)["beta1_terms"]
+    assert terms[F(1)] == {1: 1.0, 2: math.sqrt(3)}
+    assert terms[1 + eps] == {1: math.sqrt(2), 2: math.sqrt(2)}
+    assert terms[1 - eps] == {1: math.sqrt(2), 2: 1.0}
