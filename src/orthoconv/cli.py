@@ -12,8 +12,8 @@ Commands:
 
 All outputs are JSON with sorted keys, so identical inputs and flags
 produce byte-identical files.  Exit codes: 0 ok, 1 usage error, 2 data
-error, 3 assertion/verification failure.  Setting ORTHO_EXACT=1 reports
-exact values as strings alongside the floats where available.
+error, 3 a failed check: a verification suite, a build's exact checks,
+or a ``--k`` family whose exact ``gram_deviation`` is not 0.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ EXIT_ASSERT = 3
 # depth 18 takes about 4 s and 66 MB on a 2-core x86 VM, and the cost
 # grows two- to threefold per level
 CANTOR_MAX_DEPTH = 20
-
-
-def _exact_mode() -> bool:
-    return os.environ.get("ORTHO_EXACT", "") == "1"
 
 
 def _read_coefficients(path: str) -> CoefficientSeq:
@@ -144,8 +140,6 @@ def cmd_analyze(args) -> int:
         "clip_at_one": True,
         "criteria": _jsonable(crit.full_report(seq, indicator=args.indicator, B=B)),
     }
-    if _exact_mode():
-        report["tail_set_exact"] = tail
     return _dump(report, args.out)
 
 
@@ -170,21 +164,29 @@ def cmd_construct(args) -> int:
             return EXIT_DATA
         chi = OrthoVector.basis(0)
         fam = phi_family(args.k, chi)
-        cell = _jsonable if _exact_mode() else float
+        norm_sq = Fraction(3, 3 ** args.k)
         gram = [[None] * len(fam) for _ in fam]
-        # each exact entry becomes its cell as it comes, so no n x n matrix
-        # of exact values is held
+        deviation = Fraction(0)
+        # each exact entry becomes a float cell as it comes, and only its
+        # deviation from norm_sq * delta_ij is kept, so no n x n matrix of
+        # exact values is held
         for i, row in enumerate(gram_matrix(fam)):
             for j, g in enumerate(row, i):
-                gram[i][j] = gram[j][i] = cell(g)
+                gram[i][j] = gram[j][i] = float(g)
+                d = g - norm_sq if i == j else g
+                if d:
+                    d = d if 0 < d else -d
+                    if deviation < d:
+                        deviation = d
         report = {
             "command": "construct",
             "flags": {"k": args.k, "seed": args.seed},
             "family_size": len(fam),
             "gram": gram,
+            "gram_deviation": _jsonable(deviation),
             "vectors": [v.to_json() for v in fam] if args.full else None,
         }
-        return _dump(report, args.out)
+        return _dump(report, args.out) or (EXIT_OK if deviation == 0 else EXIT_ASSERT)
     if args.b is not None or args.grid is not None:
         try:
             thresholds = [parse_rational(y) for y in (args.y or [])]

@@ -133,28 +133,21 @@ def beta_condition(seq: CoefficientSeq) -> dict:
     }
 
 
-def _slice(z: float, i: int) -> float:
-    """z_i = z ^ 2**(i+1) - z ^ 2**i for i >= 1; z_0 = z ^ 2."""
-    if i == 0:
-        return min(z, 2.0)
-    return min(z, 2.0 ** (i + 1)) - min(z, 2.0 ** i)
-
-
 def _slice_sums(terms) -> list:
-    """sum_n a_n**2 z_i**2 for the slices i >= 1, in the order of the
-    terms (index 0 unused).
+    """sum_n s_n z_n,i**2 for the slices i >= 1, in the order of the
+    terms, tuples that end in the weight s and z (index 0 unused).
 
     A term adds to the slices below its top only, those with z > 2**i:
     above it z_i = 0, and the additions skipped there are +0.0.
     """
     sums = [0.0]
-    for _, _, s, z in terms:
+    for *_, s, z in terms:
         i, lo = 1, 2.0
         while z > lo:
             if i == len(sums):
                 sums.append(0.0)
             hi = 2 * lo
-            sums[i] += s * ((z if z < hi else hi) - lo) ** 2  # s * _slice(z, i)**2
+            sums[i] += s * ((z if z < hi else hi) - lo) ** 2  # s * z_i**2
             i, lo = i + 1, hi
     return sums
 
@@ -166,13 +159,13 @@ def gamma_condition(seq: CoefficientSeq, slice_sums=None) -> dict:
     slice is reported separately for transparency.  A caller that has
     the slice sums of ``seq`` passes them in.
     """
-    if any(c < 0 for c in seq.coeffs):
+    if not seq.nonnegative():
         raise ValueError("the slice criterion assumes a_n >= 0")
     nonzero = _nonzero_terms(seq)
     if slice_sums is None:
         slice_sums = _slice_sums(nonzero)
     terms = {i: math.sqrt(tot) for i, tot in enumerate(slice_sums) if i and tot}
-    slice0 = math.sqrt(sum(s * _slice(z, 0) ** 2 for _, _, s, z in nonzero) or 0.0)
+    slice0 = math.sqrt(sum(s * min(z, 2.0) ** 2 for _, _, s, z in nonzero) or 0.0)
     return {"terms": terms, "sum": sum(terms.values()), "slice0": slice0}
 
 
@@ -191,7 +184,7 @@ def sandwich_check(seq: CoefficientSeq, slice_sums=None) -> dict:
     upper-closed in |a|, decided exactly).  A caller that has the slice
     sums of ``seq`` passes them in.
     """
-    if any(c < 0 for c in seq.coeffs):
+    if not seq.nonnegative():
         raise ValueError("assumes a_n >= 0")
     weights = {}   # i -> sum of a_n**2 over the i-th z-block, i >= 1
     beta_terms = {}
@@ -375,17 +368,12 @@ def measure_criterion(atom_probs) -> dict:
         raise ValueError("atom probabilities must be positive")
     if abs(sum(probs, start=Fraction(0)) - 1) > Fraction(1, 10 ** 9):
         raise ValueError("atom probabilities must sum to 1")
-    hs = [-log_ratio(p.numerator, p.denominator) / math.log(3) for p in probs]
-    hmax = max(hs)
-    terms = {}
-    i = 0
-    while True:
-        tot = sum(float(p) * _slice(h, i) ** 2 for p, h in zip(probs, hs))
-        if tot:
-            terms[i] = math.sqrt(tot)
-        if (2 if i == 0 else 2 ** (i + 1)) >= hmax:
-            break
-        i += 1
+    weighted = [(float(p), -log_ratio(p.numerator, p.denominator) / math.log(3))
+                for p in probs]
+    tot = sum(s * min(h, 2.0) ** 2 for s, h in weighted)
+    terms = {0: math.sqrt(tot)} if tot else {}
+    terms.update((i, math.sqrt(tot))
+                 for i, tot in enumerate(_slice_sums(weighted)) if i and tot)
     return {"terms": terms, "sum": sum(terms.values())}
 
 

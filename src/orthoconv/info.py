@@ -75,6 +75,7 @@ class CoefficientSeq:
         obj.coeffs = tuple(float(s) ** 0.5 for s in sq)
         obj._set(*lattice_of(sq))
         obj._squares = tuple(sq)
+        obj._nonneg = True
         return obj
 
     def _set(self, den, nums):
@@ -83,6 +84,7 @@ class CoefficientSeq:
         self._squares = None
         self._floats = None
         self._neg_log2 = None
+        self._nonneg = None
 
     @property
     def squares(self):
@@ -113,6 +115,12 @@ class CoefficientSeq:
                                    for n in self.nums)
         return self._neg_log2
 
+    def nonnegative(self) -> bool:
+        """Whether every coefficient a_n >= 0, decided once."""
+        if self._nonneg is None:
+            self._nonneg = all(c >= 0 for c in self.coeffs)
+        return self._nonneg
+
     def __len__(self):
         return len(self.coeffs)
 
@@ -125,13 +133,14 @@ class CoefficientSeq:
         total = sum(self.nums)
         if total == 0:
             raise ValueError("cannot normalize the zero sequence")
-        if total == self.den and all(c >= 0 for c in self.coeffs):
+        if total == self.den and self.nonnegative():
             return self
         # the gcd of the numerators divides their sum; after it the lattice is reduced
         g = math.gcd(*self.nums)
         out = CoefficientSeq.__new__(CoefficientSeq)
         out._set(total // g, [n // g for n in self.nums])
         out.coeffs = tuple(s ** 0.5 for s in out.square_floats())
+        out._nonneg = True
         return out
 
     def is_normalized(self) -> bool:
@@ -150,27 +159,26 @@ class PointSet:
     ``den``.  ``points`` gives the Fractions, built on first access.
     """
 
-    def __init__(self, points, closed: bool = False):
+    def __init__(self, points):
         pts = sorted({Fraction(p) for p in points})
         if not pts or pts[0] != ZERO or pts[-1] != ONE:
             raise ValueError("a point set must contain 0 and 1")
         den, nums = lattice_of(pts)
-        self._set(den, nums, closed)
+        self._set(den, nums)
         self._points = tuple(pts)
 
     @classmethod
-    def from_lattice(cls, den: int, nums, closed: bool = False) -> "PointSet":
+    def from_lattice(cls, den: int, nums) -> "PointSet":
         """Set of n / den for strictly increasing nums from 0 to den, den reduced."""
         if not nums or nums[0] != 0 or nums[-1] != den:
             raise ValueError("a point set must contain 0 and 1")
         obj = cls.__new__(cls)
-        obj._set(den, nums, closed)
+        obj._set(den, nums)
         return obj
 
-    def _set(self, den, nums, closed):
+    def _set(self, den, nums):
         self.den = den
         self.nums = tuple(nums)
-        self.closed = closed
         self._points = None
 
     @property
@@ -298,8 +306,7 @@ def cantor_points(depth: int) -> PointSet:
         width //= 3
         lefts = [x for a in lefts for x in (a, a + 2 * width)]
     # width is 1 now, so the lattice is reduced
-    return PointSet.from_lattice(den, [x for a in lefts for x in (a, a + width)],
-                                 closed=True)
+    return PointSet.from_lattice(den, [x for a in lefts for x in (a, a + width)])
 
 
 def cantor_info_fn(depth: int, clip) -> StepFunction:

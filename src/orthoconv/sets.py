@@ -206,8 +206,7 @@ class CellPermutation:
         return t + (self.perm[r] - r) * self.sub_width
 
     def apply_point_set(self, B: PointSet) -> PointSet:
-        return PointSet([self.apply_point(t) for t in B.points],
-                        closed=B.closed)
+        return PointSet([self.apply_point(t) for t in B.points])
 
     def pushforward(self, f: StepFunction) -> StepFunction:
         """f composed with the inverse map, i.e. the relocated function."""

@@ -5,9 +5,12 @@ import math
 import os
 import sys
 
+from fractions import Fraction as F
+
 import pytest
 
 from orthoconv.cli import main
+from orthoconv.exactnum import format_rational
 
 
 def run_cli(args):
@@ -219,25 +222,50 @@ def test_measure_huge_probability_is_data_error(tmp_path, capsys):
     assert rc == 2 and err == ["data error: atom probabilities must sum to 1"]
 
 
-def test_exact_mode_env(tmp_path, monkeypatch):
-    src = tmp_path / "coef.json"
-    src.write_text('["1/3", "1/3", "1/3"]')
-    out = tmp_path / "rep.json"
-    monkeypatch.setenv("ORTHO_EXACT", "1")
-    assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert rep["tail_set_exact"] == ["0", "1/3", "2/3", "1"]
-
-
-def test_exact_tail_set_is_the_tail_set(tmp_path, monkeypatch):
+@pytest.mark.parametrize("args", [
+    ["analyze", "IN"], ["construct", "--k", "2", "--full"]])
+def test_exact_env_leaves_reports_unchanged(args, tmp_path, monkeypatch):
+    # ORTHO_EXACT once added exact-value fields; it is no longer read
     src = tmp_path / "coef.json"
     src.write_text('["1/2", "1/3", "1/4", "1/5", "1e-3"]')
-    out = tmp_path / "rep.json"
+    args = [str(src) if a == "IN" else a for a in args]
+    plain, exact = tmp_path / "plain.json", tmp_path / "exact.json"
+    monkeypatch.delenv("ORTHO_EXACT", raising=False)
+    assert run_cli(args + ["--out", str(plain)]) == 0
     monkeypatch.setenv("ORTHO_EXACT", "1")
-    assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
+    assert run_cli(args + ["--out", str(exact)]) == 0
+    assert exact.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_family_gram_deviation_is_zero(k, tmp_path):
+    out = tmp_path / "f.json"
+    assert run_cli(["construct", "--k", str(k), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert len(rep["tail_set"]) == 6
-    assert rep["tail_set_exact"] == rep["tail_set"]
+    assert rep["gram_deviation"] == "0"
+    n = rep["family_size"]
+    assert rep["gram"] == [[3 / 3 ** k if i == j else 0.0 for j in range(n)]
+                           for i in range(n)]
+
+
+@pytest.mark.parametrize("i, j, delta", [(0, 0, F(1, 81)), (2, 5, F(-2, 7))])
+def test_family_with_a_wrong_gram_entry_fails(i, j, delta, tmp_path, monkeypatch):
+    import orthoconv.ortho as ortho
+    gram_matrix = ortho.gram_matrix
+
+    def corrupted(vectors):
+        vectors = list(vectors)
+        for r, row in enumerate(gram_matrix(vectors)):
+            if r == i and len(vectors) == 9:  # the family, not a norm
+                row[j - i] += delta
+            yield row
+
+    monkeypatch.setattr(ortho, "gram_matrix", corrupted)
+    out = tmp_path / "f.json"
+    assert run_cli(["construct", "--k", "2", "--out", str(out)]) == 3
+    rep = json.loads(out.read_text())
+    assert rep["gram_deviation"] == format_rational(abs(delta))
+    assert rep["gram"][i][j] == rep["gram"][j][i] == float((i == j) * F(1, 3) + delta)
 
 
 def test_analyze_information_value_is_not_negative_zero(tmp_path):
@@ -521,11 +549,10 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     ("analyze_power3", "I"), ("analyze_power3", "H"),
     ("analyze_increasing", "I"),
 ])
-def test_analyze_report_matches_recorded_bytes(name, indicator, tmp_path, monkeypatch):
+def test_analyze_report_matches_recorded_bytes(name, indicator, tmp_path):
     # reports recorded before the one-walk V step and information criteria:
     # a rational input that prints the normalization notice, 2- and
     # 3-power inputs with decreasing moduli, and 2-powers increasing
-    monkeypatch.delenv("ORTHO_EXACT", raising=False)
     src = os.path.join(DATA, name + ".json")
     out = tmp_path / "r.json"
     assert run_cli(["analyze", src, "--indicator", indicator, "--out", str(out)]) == 0

@@ -13,6 +13,7 @@ from orthoconv.criteria import (
     alpha_condition, beta_condition, full_report, gamma_condition,
     measure_criterion, rm_weyl, sandwich_check, tandori_sum, theorem_conditions,
 )
+from orthoconv.exactnum import log_ratio
 from orthoconv.info import CoefficientSeq, info_fn, tail_set
 from orthoconv.stepfn import lattice_of
 from orthoconv.suites import run_suite
@@ -92,6 +93,30 @@ def test_beta_gamma_residual_for_large_values():
 def test_gamma_rejects_negative():
     with pytest.raises(ValueError):
         gamma_condition(CoefficientSeq([F(-1, 2), F(1, 2)]))
+
+
+def test_sandwich_rejects_negative():
+    with pytest.raises(ValueError):
+        sandwich_check(CoefficientSeq([F(-1, 2), F(1, 2)]))
+
+
+def test_sign_is_decided_once_per_sequence():
+    seq = CoefficientSeq([F(1, 2), F(-1, 2)])
+    assert not seq.nonnegative()
+    # the moduli of normalized() and from_squares are nonnegative by
+    # construction: no coefficient is compared again
+    norm = seq.normalized()
+    norm.coeffs = None
+    assert norm.nonnegative()
+    # gamma and sandwich read the decided sign, not the coefficients
+    assert gamma_condition(norm) == gamma_condition(seq.normalized())
+    assert sandwich_check(norm) == sandwich_check(seq.normalized())
+    sq = CoefficientSeq.from_squares([F(1, 4), F(3, 4)])
+    sq.coeffs = None
+    assert sq.nonnegative()
+    # a normalized nonnegative sequence is its own normal form
+    ones = CoefficientSeq([F(1, 2), F(1, 2), F(1, 2), F(1, 2)])
+    assert ones.normalized() is ones and ones.nonnegative()
 
 
 def test_sandwich_single_lowest_block():
@@ -432,6 +457,53 @@ def test_lattice_sequence_matches_fraction_oracle(coeffs):
 @settings(max_examples=150, deadline=None)
 def test_lattice_squares_match_fraction_oracle(sq):
     check_against_oracle(CoefficientSeq.from_squares(sq), sq)
+
+
+def o_measure(atom_probs):
+    """measure_criterion's slice loop before it read the shared slice sums:
+    every slice rescans every atom, until 2**(i+1) reaches the largest H."""
+    probs = [F(p) for p in atom_probs]
+    hs = [-log_ratio(p.numerator, p.denominator) / math.log(3) for p in probs]
+    hmax = max(hs)
+    terms = {}
+    i = 0
+    while True:
+        tot = sum(float(p) * o_slice(h, i) ** 2 for p, h in zip(probs, hs))
+        if tot:
+            terms[i] = math.sqrt(tot)
+        if (2 if i == 0 else 2 ** (i + 1)) >= hmax:
+            break
+        i += 1
+    return {"terms": terms, "sum": sum(terms.values())}
+
+
+def _completed(parts):
+    """The parts with 1 - sum(parts) appended, when that is positive."""
+    rest = 1 - sum(parts, start=F(0))
+    return parts + [rest] if rest > 0 else parts
+
+
+# atomic distributions: rational weights over their sum, 2- and 3-power
+# atoms (with a remainder atom), tiny atoms, and the single atom [1]
+distributions = st.one_of(
+    st.just([F(1)]),
+    st.lists(st.integers(min_value=1, max_value=10 ** 6), min_size=1, max_size=30)
+    .map(lambda w: [F(x, sum(w)) for x in w]),
+    st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=30)
+    .map(lambda ks: _completed([F(1, 2 ** k) for k in ks]))
+    .filter(lambda p: sum(p) == 1),
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=30)
+    .map(lambda ks: _completed([F(1, 3 ** k) for k in ks]))
+    .filter(lambda p: sum(p) == 1),
+    st.lists(st.sampled_from([F(1, 10 ** 300), F(1, 2 ** 1100), F(1, 3 ** 700)]),
+             min_size=1, max_size=5).map(_completed),
+)
+
+
+@given(distributions)
+@settings(max_examples=300, deadline=None)
+def test_measure_matches_rescanning_oracle(probs):
+    assert repr(measure_criterion(probs)) == repr(o_measure(probs))
 
 
 def test_neg_log2_below_float_range_reads_the_reduced_square():
