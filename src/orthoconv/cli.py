@@ -26,7 +26,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactnum import format_rational, parse_rational
+from .exactnum import parse_rational, value_to_json
 from .info import CoefficientSeq, PointSet, info_fn, tail_set
 from .vcalc import v_functional
 from . import criteria as crit
@@ -148,11 +148,9 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, Fraction):
-        return format_rational(x)
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
-    return float(x)
+    return value_to_json(x)  # exact strings for Fraction and RootSum
 
 
 def cmd_construct(args) -> int:

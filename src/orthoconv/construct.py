@@ -735,7 +735,7 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None) -> dict
     return out
 
 
-def divergent_prefix(block_sets, cuts, chi_ids=None) -> ProductProcess:
+def divergent_prefix(block_sets, cuts) -> ProductProcess:
     """Finite product-space prefix of the divergence construction.
 
     Each entry of block_sets is a finite triadic PointSet in unit
@@ -745,9 +745,5 @@ def divergent_prefix(block_sets, cuts, chi_ids=None) -> ProductProcess:
     """
     if len(block_sets) > 4:
         raise ValueError("product budget: at most 4 factors")
-    blocks = []
-    for s, Bs in enumerate(block_sets):
-        chi = OrthoVector.basis(0 if chi_ids is None else chi_ids[s])
-        rep = build_divergent(Bs, chi=chi)
-        blocks.append(rep["report"]["process"])
+    blocks = [build_divergent(Bs)["report"]["process"] for Bs in block_sets]
     return ProductProcess(blocks, cuts)

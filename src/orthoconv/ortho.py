@@ -354,14 +354,22 @@ def maximal_function(X: OrthoProcess, absolute: bool = False) -> StepFunction:
     return out
 
 
-def _max_abs_ext(vectors) -> dict:
-    out = {}
+def _max_abs(vectors):
+    """(pointwise max of |body| over vectors, its squared L2 norm plus the
+    square of each external coordinate's largest |value|)."""
+    body_max = None
+    ext = {}
     for v in vectors:
+        b = v.body.abs()
+        body_max = b if body_max is None else body_max.maximum(b)
         for i, c in v.ext.items():
             a = c if 0 <= c else -c
-            if i not in out or out[i] <= a:
-                out[i] = a
-    return out
+            if i not in ext or ext[i] <= a:
+                ext[i] = a
+    nsq = body_max.integral_sq()
+    for a in ext.values():
+        nsq = nsq + a * a
+    return body_max, nsq
 
 
 def menshov_bound_check(vectors):
@@ -385,13 +393,7 @@ def menshov_bound_check(vectors):
     for v in vectors:
         acc = v if acc is None else acc + v
         partial.append(acc)
-    body_max = None
-    for p in partial:
-        b = p.body.abs()
-        body_max = b if body_max is None else body_max.maximum(b)
-    lhs = body_max.integral_sq()
-    for i, a in _max_abs_ext(partial).items():
-        lhs = lhs + a * a
+    lhs = _max_abs(partial)[1]
     k = math.log2(n) + 1
     rhs = k * k * sum(float(s) for s in norms)
     if float(lhs) > rhs * (1 + 1e-12) + 1e-12:
@@ -419,13 +421,7 @@ def m_grid(X: OrthoProcess, B: PointSet, j: int):
             raise ValueError("process missing the cell-start time %s" % lo)
         base = X.vectors[Fraction(lo)]
         diffs = [X.vectors[t] - base for t in cell_pts]
-        body_max = None
-        for d in diffs:
-            b = d.body.abs()
-            body_max = b if body_max is None else body_max.maximum(b)
-        nsq = body_max.integral_sq()
-        for i, a in _max_abs_ext(diffs).items():
-            nsq = nsq + a * a
+        body_max, nsq = _max_abs(diffs)
         out.append((n, body_max, nsq))
     return out
 

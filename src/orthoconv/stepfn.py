@@ -142,6 +142,31 @@ def _weighted_sum(terms, den):
     return total
 
 
+def _merge(den, a, va, b, vb, op):
+    """Canonical runs (nums, values) of op(f, g), for f with the values va
+    on the pieces ending at a and g with vb on those ending at b, both on
+    the lattice den.  Adjacent equal values merge and a run keeps its
+    first value, as the step-function constructor does.
+    """
+    nums, vals = [], []
+    ia = ib = 0
+    while True:
+        x, y = a[ia], b[ib]
+        v = op(va[ia], vb[ib])
+        if x <= y:
+            ia += 1
+        if y <= x:
+            ib += 1
+            x = y
+        if vals and vals[-1] == v:
+            nums[-1] = x
+        else:
+            nums.append(x)
+            vals.append(v)
+        if x == den:
+            return nums, vals
+
+
 class StepFunction:
     """Immutable piecewise-constant function on (0,1].
 
@@ -263,14 +288,10 @@ class StepFunction:
         return cls(bps, vals)
 
     @classmethod
-    def from_cells(cls, cell_values, width=None) -> "StepFunction":
-        """Function constant on consecutive cells of equal width.
-
-        width defaults to 1/len(cell_values).
-        """
+    def from_cells(cls, cell_values) -> "StepFunction":
+        """Function constant on len(cell_values) consecutive cells of equal
+        width."""
         n = len(cell_values)
-        if width is not None and Fraction(width) * n != ONE:
-            raise ValueError("cells must tile (0,1]")
         return cls.from_lattice(n, range(1, n + 1), cell_values)
 
     # -- basic queries -----------------------------------------------
@@ -353,40 +374,22 @@ class StepFunction:
     def _binary(self, other, op):
         other = _coerce(other)
         den, a, b = self._common_lattice(other)
-        va, vb = self.values, other.values
-        nums, vals = [], []
-        ia = ib = 0
-        while True:
-            x, y = a[ia], b[ib]
-            vals.append(op(va[ia], vb[ib]))
-            if x < y:
-                nums.append(x)
-                ia += 1
-            elif y < x:
-                nums.append(y)
-                ib += 1
-            else:
-                nums.append(x)
-                if x == den:
-                    break
-                ia += 1
-                ib += 1
-        return StepFunction.from_lattice(den, nums, vals)
+        return StepFunction._reduced(den, *_merge(den, a, self.values, b, other.values, op))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
-        return _coerce(other)._binary(self, lambda a, b: a - b)
+        return _coerce(other)._binary(self, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
-            return self._binary(other, lambda a, b: a * b)
+            return self._binary(other, operator.mul)
         return self.map_values(lambda v: v * other)
 
     __rmul__ = __mul__
@@ -398,10 +401,10 @@ class StepFunction:
         return StepFunction.from_lattice(self.den, self.nums, [fn(v) for v in self.values])
 
     def minimum(self, other) -> "StepFunction":
-        return self._binary(_coerce(other), _min)
+        return self._binary(other, _min)
 
     def maximum(self, other) -> "StepFunction":
-        return self._binary(_coerce(other), _max)
+        return self._binary(other, _max)
 
     def abs(self) -> "StepFunction":
         return self.map_values(lambda v: v if 0 <= v else -v)
@@ -428,7 +431,7 @@ class StepFunction:
         """f * 1_{(lo,hi]}: zero outside (lo, hi]."""
         lo, hi = Fraction(lo), Fraction(hi)
         ind = StepFunction.indicator(lo, hi) if lo < hi else StepFunction.constant(0)
-        return self._binary(ind, lambda a, b: a * b)
+        return self._binary(ind, operator.mul)
 
     # -- integrals and norms ------------------------------------------
 
@@ -437,38 +440,12 @@ class StepFunction:
 
     def inner(self, other: "StepFunction"):
         """Integral of self * other, the value and type of
-        ``(self * other).integral()``, in one pass without building the
-        product: runs of equal products are summed as the one piece the
-        product's canonical form would hold, so float sums round alike.
+        ``(self * other).integral()``, without building the product: the
+        sum runs over the same canonical runs, so float sums round alike.
         """
         den, a, b = self._common_lattice(other)
-        va, vb = self.values, other.values
-        terms = []
-        run_v = None
-        run_lo = prev = 0
-        ia = ib = 0
-        while True:
-            x, y = a[ia], b[ib]
-            v = va[ia] * vb[ib]
-            if run_v is None:
-                run_v = v
-            elif run_v != v:
-                terms.append((run_v, prev - run_lo))
-                run_v, run_lo = v, prev
-            if x < y:
-                prev = x
-                ia += 1
-            elif y < x:
-                prev = y
-                ib += 1
-            else:
-                prev = x
-                if x == den:
-                    break
-                ia += 1
-                ib += 1
-        terms.append((run_v, den - run_lo))
-        return _weighted_sum(terms, den)
+        nums, vals = _merge(den, a, self.values, b, other.values, operator.mul)
+        return _weighted_sum(zip(vals, map(operator.sub, nums, [0] + nums[:-1])), den)
 
     def integral_sq(self):
         return _weighted_sum([(v * v, n) for v, n in self._lengths()], self.den)
@@ -514,11 +491,11 @@ def _rescale(nums, k: int):
 
 
 _OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
+    "+": operator.add,
+    "-": operator.sub,
     "min": _min,
     "max": _max,
-    "mul": lambda a, b: a * b,
+    "mul": operator.mul,
 }
 
 

@@ -22,10 +22,12 @@ a controlled conditional-norm defect.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .info import type_level_representation
-from .stepfn import StepFunction, _cond_runs, _rescale, cond_norm, grid_size, pos_part
+from .stepfn import (StepFunction, _cond_runs, _merge, _rescale, cond_norm, grid_size,
+                     pos_part)
 
 __all__ = [
     "VTrace",
@@ -78,9 +80,10 @@ def v_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
 
     One walk over h's pieces forms the canonical runs of h ^ 2**j and
     (h - 2**j)^+, each run keeping its first value as the step-function
-    constructor does; the conditional norm walks the second, and the sum
-    walks both results.  Values, value types and float bits are those of
-    the composed ``h.minimum(c) + cond_norm(pos_part(h, c), j)``.
+    constructor does; the conditional norm walks the second, and
+    ``stepfn._merge`` sums both results.  Values, value types and float
+    bits are those of the composed
+    ``h.minimum(c) + cond_norm(pos_part(h, c), j)``.
     """
     c = 1 << j
     mn, mv, pn, pv = [], [], [], []
@@ -100,24 +103,8 @@ def v_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
     if not all(0 <= p for p in pv):
         raise ValueError("cond_norm requires a nonnegative function")
     den, cn, cv = _cond_runs(h.den, pn, pv, j, exact)
-    mn = _rescale(mn, den // h.den)
-    nums, vals = [], []
-    ia = ib = 0
-    while True:
-        x, y = mn[ia], cn[ib]
-        s = mv[ia] + cv[ib]
-        if x <= y:
-            ia += 1
-        if y <= x:
-            ib += 1
-            x = y
-        if vals and vals[-1] == s:
-            nums[-1] = x
-        else:
-            nums.append(x)
-            vals.append(s)
-        if x == den:
-            return StepFunction._reduced(den, nums, vals)
+    return StepFunction._reduced(den, *_merge(den, _rescale(mn, den // h.den), mv,
+                                              cn, cv, operator.add))
 
 
 def v_bar_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from orthoconv.cli import main
-from orthoconv.exactnum import format_rational
+from orthoconv.exactnum import exact_sqrt, value_to_json
 
 
 def run_cli(args):
@@ -248,7 +248,8 @@ def test_family_gram_deviation_is_zero(k, tmp_path):
                            for i in range(n)]
 
 
-@pytest.mark.parametrize("i, j, delta", [(0, 0, F(1, 81)), (2, 5, F(-2, 7))])
+@pytest.mark.parametrize("i, j, delta", [(0, 0, F(1, 81)), (2, 5, F(-2, 7)),
+                                         (1, 3, exact_sqrt(3) / 10 ** 400)])
 def test_family_with_a_wrong_gram_entry_fails(i, j, delta, tmp_path, monkeypatch):
     import orthoconv.ortho as ortho
     gram_matrix = ortho.gram_matrix
@@ -264,7 +265,8 @@ def test_family_with_a_wrong_gram_entry_fails(i, j, delta, tmp_path, monkeypatch
     out = tmp_path / "f.json"
     assert run_cli(["construct", "--k", "2", "--out", str(out)]) == 3
     rep = json.loads(out.read_text())
-    assert rep["gram_deviation"] == format_rational(abs(delta))
+    # an irrational deviation below the float range is written exactly
+    assert rep["gram_deviation"] == value_to_json(abs(delta))
     assert rep["gram"][i][j] == rep["gram"][j][i] == float((i == j) * F(1, 3) + delta)
 
 

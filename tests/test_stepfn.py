@@ -139,7 +139,9 @@ def breakpoints_01(draw):
 values = st.one_of(
     st.fractions(min_value=0, max_value=20, max_denominator=64),
     st.integers(min_value=0, max_value=20),
-    st.floats(min_value=0, max_value=20, allow_nan=False))
+    st.floats(min_value=0, max_value=20, allow_nan=False),
+    # equal values of different types: a merged run keeps its first value
+    st.sampled_from([0, 0.0, F(0), 1, 1.0, F(1), 2, 2.0]))
 
 
 @st.composite
