@@ -14,14 +14,13 @@ from fractions import Fraction as F
 
 from orthoconv.info import PointSet
 from orthoconv.construct import build_divergent, divergent_prefix
-from orthoconv.ortho import maximal_function
 
-for pts, label, target in [
-    ([0, F(1, 3), F(2, 3), 1], "base quadruple", 4),
-    ([F(n, 9) for n in range(10)], "full level-1 grid", 8),
+for pts, label in [
+    ([0, F(1, 3), F(2, 3), 1], "base quadruple"),
+    ([F(n, 9) for n in range(10)], "full level-1 grid"),
 ]:
     B = PointSet(pts)
-    out = build_divergent(B, y_target=target)
+    out = build_divergent(B)
     rep = out["report"]
     print("=" * 70)
     print("%s (%d points)" % (label, len(B)))
@@ -32,10 +31,9 @@ for pts, label, target in [
     print("achieved threshold y' = %.4f" % out["achieved_y"])
     print("increment norms exact:", str(rep["gram_deviation"]) == "0")
     print("final value = 24 sqrt(3 lambda(D)) chi:", rep["final_value_ok"])
-    print("lambda(max >= y') =", out["exceedance_at_achieved_y"])
+    print("lambda(max >= y') =", rep["good_measure"])
     print("achieved failure fraction:", rep["achieved_eps"])
-    m = maximal_function(rep["process"])
-    print("maximal function pieces:", len(m.values))
+    print("maximal function pieces:", len(rep["maximal_function"].values))
     print()
 
 print("=" * 70)

@@ -31,7 +31,7 @@ from .info import CoefficientSeq, PointSet, info_fn, tail_set
 from .vcalc import v_functional
 from . import criteria as crit
 from .sets import continuity_verdict
-from .suites import SUITES, run_suites
+from .suites import FIXED_SUITES, SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,8 +200,7 @@ def cmd_construct(args) -> int:
             print("data error: %s" % e, file=sys.stderr)
             return EXIT_DATA
         rep = out["report"]
-        from .ortho import maximal_function
-        m = maximal_function(rep["process"])
+        m = rep["maximal_function"]
         report = {
             "command": "construct",
             "flags": {"b": args.b, "grid": args.grid, "y": args.y,
@@ -212,7 +211,7 @@ def cmd_construct(args) -> int:
             "final_value_ok": rep["final_value_ok"],
             "membership_ok": rep["membership_ok"],
             "achieved_eps": rep["achieved_eps"],
-            "exceedance_at_achieved_y": _jsonable(out["exceedance_at_achieved_y"]),
+            "exceedance_at_achieved_y": _jsonable(rep["good_measure"]),
             "times": [str(t) for t in rep["process"].times],
             "process": rep["process"].to_json() if args.full else None,
         }
@@ -320,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", action="append", default=None,
                     help="suite name (repeatable; default all)")
     pv.add_argument("--count", type=int, default=None,
-                    help="override instance count")
+                    help="instance count of each suite, except %s, which run "
+                         "a fixed set" % ", ".join(FIXED_SUITES))
     pv.set_defaults(fn=cmd_verify)
 
     pk = sub.add_parser("cantor", parents=[common], help="window traces for the Cantor set")

@@ -322,7 +322,8 @@ class ComplexityCert:
                             carrier=self.intervals)
 
     def verify_challenge(self, a, b, chi: OrthoVector, alloc=None) -> dict:
-        """Direct evaluation of all certificate conditions on one challenge."""
+        """Direct evaluation of all certificate conditions on one challenge;
+        for a nonempty window the report also holds the maximal function."""
         a, b = Fraction(a), Fraction(b)
         X = self.witness(a, b, chi, alloc)
         t0, t1 = X.times[0], X.times[-1]
@@ -337,6 +338,7 @@ class ComplexityCert:
             m = maximal_function(X)
             good = _measure_ge_root(m.restrict(a, b) if a > ZERO or b < ONE else m,
                                     self.y_sq, w)
+            report["maximal_function"] = m
             report["window"] = (a, b)
             report["threshold"] = sqrt_float(self.y_sq / w)
             report["good_measure"] = good
@@ -345,7 +347,7 @@ class ComplexityCert:
         return report
 
 
-def _measure_ge_root(f: StepFunction, y_sq, w=ONE) -> Fraction:
+def _measure_ge_root(f: StepFunction, y_sq, w) -> Fraction:
     """Measure of (f >= sqrt(y_sq / w)), decided on squares:
     v >= 0 and v**2 * w >= y_sq."""
     return f.measure_where(lambda v: 0 <= v and y_sq <= v * v * w)
@@ -446,7 +448,7 @@ def _rationalize_ratios(ratios):
             for r in ratios]
 
 
-def merge(certs, B: PointSet = None) -> ComplexityCert:
+def merge(certs) -> ComplexityCert:
     """Disjoint-union combination of certificates.
 
     The union keeps the worst nominal failure fraction and reaches
@@ -459,8 +461,6 @@ def merge(certs, B: PointSet = None) -> ComplexityCert:
     certs = list(certs)
     if not certs:
         raise ValueError("nothing to merge")
-    if B is None:
-        B = certs[0].B
     intervals = [iv for c in certs for iv in c.intervals]
     y_sq = sum((c.y_sq for c in certs), start=ZERO)
     eps = None
@@ -499,7 +499,7 @@ def merge(certs, B: PointSet = None) -> ComplexityCert:
             vectors[t] = acc
         return vectors
 
-    return ComplexityCert(B, intervals, y_sq, eps, "merge", build)
+    return ComplexityCert(certs[0].B, intervals, y_sq, eps, "merge", build)
 
 
 def _last_time_leq(times, t):
@@ -507,7 +507,7 @@ def _last_time_leq(times, t):
     return times[i - 1] if i else None
 
 
-def nest(k: int, sub_certs, B: PointSet = None) -> ComplexityCert:
+def nest(k: int, sub_certs) -> ComplexityCert:
     """Equal-length nesting of 3**k certificates under a generator family.
 
     The sub-carriers must be single intervals of a common length with
@@ -524,8 +524,6 @@ def nest(k: int, sub_certs, B: PointSet = None) -> ComplexityCert:
     sub_certs = list(sub_certs)
     if len(sub_certs) != 3 ** k:
         raise ValueError("need exactly 3**k sub-certificates")
-    if B is None:
-        B = sub_certs[0].B
     ivs = []
     for c in sub_certs:
         if len(c.intervals) != 1:
@@ -567,11 +565,11 @@ def nest(k: int, sub_certs, B: PointSet = None) -> ComplexityCert:
             acc = acc + fam[pos]
         return vectors
 
-    return ComplexityCert(B, ivs_sorted, y_out * y_out, eps, "nest[k=%d]" % k, build,
-                          y=y_out)
+    return ComplexityCert(sub_certs[0].B, ivs_sorted, y_out * y_out, eps, "nest[k=%d]" % k,
+                          build, y=y_out)
 
 
-def corollary_union(certs, h: StepFunction, B: PointSet = None) -> ComplexityCert:
+def corollary_union(certs, h: StepFunction) -> ComplexityCert:
     """Union form: parts certified at ||h 1_part|| combine to ||h 1_union||.
 
     Checks that each threshold matches the norm of h over the part; the
@@ -582,10 +580,10 @@ def corollary_union(certs, h: StepFunction, B: PointSet = None) -> ComplexityCer
                       start=ZERO)
         if c.y_sq != want_sq:
             raise ValueError("threshold does not match ||h|| on a part")
-    return merge(certs, B)
+    return merge(certs)
 
 
-def corollary_equal_blocks(k: int, certs, level_value, B: PointSet = None):
+def corollary_equal_blocks(k: int, certs, level_value):
     """Equal-length form with a constant excess value over the block.
 
     With every part certified at level_value * sqrt(part length), the
@@ -598,7 +596,7 @@ def corollary_equal_blocks(k: int, certs, level_value, B: PointSet = None):
     for c in certs:
         if c.y != want:
             raise ValueError("parts must share the constant-excess threshold")
-    out = nest(k, certs, B)
+    out = nest(k, certs)
     target = (level_value + 4 * k) * exact_sqrt(eta * 3 ** k)
     if out.y != target:
         raise AssertionError("nested threshold mismatch: %s vs %s"
@@ -619,7 +617,7 @@ def _hu_min_on(hu: StepFunction, lo, hi):
     return out
 
 
-def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None) -> dict:
+def build_divergent(B: PointSet) -> dict:
     """Process with a large maximal function on a finite triadic set.
 
     Runs the backward recursion along the dyadic floor of the
@@ -629,9 +627,10 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None) -> dict
     generator family or grouped by block selection and merged.  At every
     step the combination with the larger achieved threshold is kept.
 
-    Returns a report with the top certificate, the witness process on
-    the whole interval, and exact exceedance measures; no claim is made
-    beyond the directly measured numbers.
+    Returns the top certificate, the steps, and the report of its
+    challenge on the whole interval with chi = e_0 (witness process,
+    maximal function, exact exceedance measure); no claim is made beyond
+    the directly measured numbers.
     """
     from .sets import is_triadic_set
     from .stepfn import grid_width
@@ -698,15 +697,15 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None) -> dict
                     for blk in sel.blocks:
                         members = [certs[excess[p][0]] for p in blk]
                         grouped.update(excess[p][0] for p in blk)
-                        parts.append(nest(2 ** (parent_level - 1), members, B))
+                        parts.append(nest(2 ** (parent_level - 1), members))
                     rest = [c for i, c in enumerate(certs) if i not in grouped]
-                    candidates.append(("blocks+merge", merge(parts + rest, B)))
+                    candidates.append(("blocks+merge", merge(parts + rest)))
         if len(certs) >= 2:
-            candidates.append(("merge", merge(certs, B)))
+            candidates.append(("merge", merge(certs)))
         if len(cellish) == len(certs) == count:
             k_all = {3: 1, 9: 2, 81: 4}.get(count)
             if k_all is not None:
-                candidates.append(("nest[k=%d]" % k_all, nest(k_all, certs, B)))
+                candidates.append(("nest[k=%d]" % k_all, nest(k_all, certs)))
         if len(certs) == 1:
             candidates.append(("single", certs[0]))
         best_name, best = candidates[0]
@@ -718,21 +717,12 @@ def build_divergent(B: PointSet, y_target=None, chi: OrthoVector = None) -> dict
         return best
 
     top = cert_for(0, ZERO, ONE)
-    if chi is None:
-        chi = OrthoVector.basis(0)
-    report = top.verify_challenge(ZERO, ONE, chi)
-    m = maximal_function(report["process"])
-    out = {
+    return {
         "cert": top,
-        "report": report,
+        "report": top.verify_challenge(ZERO, ONE, OrthoVector.basis(0)),
         "steps": steps,
         "achieved_y": sqrt_float(top.y_sq),
-        "exceedance_at_achieved_y": _measure_ge_root(m, top.y_sq),
     }
-    if y_target is not None:
-        out["y_target"] = float(y_target)
-        out["exceedance_at_target"] = m.measure_ge(y_target)
-    return out
 
 
 def divergent_prefix(block_sets, cuts) -> ProductProcess:

@@ -73,8 +73,8 @@ class OrthoVector:
         self.ext = {i: c for i, c in (ext or {}).items() if c != 0}
 
     @classmethod
-    def basis(cls, i: int, coeff=1) -> "OrthoVector":
-        return cls(ext={i: coeff})
+    def basis(cls, i: int) -> "OrthoVector":
+        return cls(ext={i: 1})
 
     def __add__(self, other):
         ext = dict(self.ext)
@@ -338,8 +338,8 @@ def gram_check(X: OrthoProcess):
     return worst
 
 
-def maximal_function(X: OrthoProcess, absolute: bool = False) -> StepFunction:
-    """Pointwise max over time of the body parts (optionally |.|).
+def maximal_function(X: OrthoProcess) -> StepFunction:
+    """Pointwise max over time of the body parts.
 
     External coordinates do not enter (they live off [0,1) under the
     representation contract); :func:`m_grid` adds their contribution to
@@ -348,8 +348,6 @@ def maximal_function(X: OrthoProcess, absolute: bool = False) -> StepFunction:
     out = None
     for t in X.times:
         body = X.vectors[t].body
-        if absolute:
-            body = body.abs()
         out = body if out is None else out.maximum(body)
     return out
 

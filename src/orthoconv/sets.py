@@ -258,12 +258,12 @@ def cantor_tail_integral_oracle(k: int, depth: int = 400) -> Fraction:
     return total
 
 
-def continuity_verdict(B, t, window_sizes, depths=None, clip_floor=1) -> dict:
+def continuity_verdict(B, t, window_sizes, depths=None) -> dict:
     """Growth trace of V over shrinking windows around a time point.
 
     ``B`` is a PointSet or the string 'cantor' (with ``depths`` giving the
     truncation depths to trace).  For each window U = [t-d, t+d] the
-    stabilized value V(max(H 1_U, clip_floor on U)) is computed; for
+    stabilized value V(max(H 1_U, 1_U)) is computed; for
     generator-described sets the value is reported per depth, without a
     finite/infinite verdict.  Raises ValueError for t outside [0, 1] or
     a half-width that is not positive.
@@ -292,8 +292,7 @@ def continuity_verdict(B, t, window_sizes, depths=None, clip_floor=1) -> dict:
             else:
                 h = info_fn(B, base=3)
             hw = h.restrict(lo, hi) if (lo, hi) != (ZERO, ONE) else h
-            hw = hw.maximum(StepFunction.indicator(lo, hi, value=clip_floor, base=0)) \
-                if lo < hi else hw
+            hw = hw.maximum(StepFunction.indicator(lo, hi)) if lo < hi else hw
             val, _ = v_functional(hw)
             trace.append(val)
         out["windows"].append({

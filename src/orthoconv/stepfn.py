@@ -34,7 +34,6 @@ import operator
 from fractions import Fraction
 
 from .exactnum import (
-    exact_sqrt,
     format_rational,
     parse_rational,
     value_from_json,
@@ -271,20 +270,20 @@ class StepFunction:
         return cls.from_lattice(1, (1,), (v,))
 
     @classmethod
-    def indicator(cls, lo, hi, value=1, base=0) -> "StepFunction":
-        """value on (lo, hi], base elsewhere."""
+    def indicator(cls, lo, hi, value=1) -> "StepFunction":
+        """value on (lo, hi], 0 elsewhere."""
         lo, hi = Fraction(lo), Fraction(hi)
         if not (ZERO <= lo < hi <= ONE):
             raise ValueError("need 0 <= lo < hi <= 1")
         bps, vals = [], []
         if lo > ZERO:
             bps.append(lo)
-            vals.append(base)
+            vals.append(0)
         bps.append(hi)
         vals.append(value)
         if hi < ONE:
             bps.append(ONE)
-            vals.append(base)
+            vals.append(0)
         return cls(bps, vals)
 
     @classmethod
@@ -450,9 +449,8 @@ class StepFunction:
     def integral_sq(self):
         return _weighted_sum([(v * v, n) for v, n in self._lengths()], self.den)
 
-    def l2_norm(self, exact: bool = False):
-        s = self.integral_sq()
-        return exact_sqrt(s) if exact else float(s) ** 0.5
+    def l2_norm(self):
+        return float(self.integral_sq()) ** 0.5
 
     def measure_where(self, pred):
         """Lebesgue measure of the set where pred(value) holds."""
@@ -516,20 +514,20 @@ def pos_part(f: StepFunction, c=0) -> StepFunction:
     return f.map_values(lambda v: v - c if c <= v else 0 * v)
 
 
-def cond_norm(f: StepFunction, level: int, exact: bool = False) -> StepFunction:
+def cond_norm(f: StepFunction, level: int) -> StepFunction:
     """Conditional L2 norm over the level-i triadic grid.
 
-    On each grid cell the result is the constant sqrt(mean of f**2 over
+    On each grid cell the result is the float sqrt(mean of f**2 over
     the cell); the output is measurable for that grid.  Requires f >= 0.
     Cells not cut by a breakpoint of f are handled in bulk, so the cost
     is O(#pieces), independent of the 3**(2**i) cell count.
     """
     if not f.is_nonnegative():
         raise ValueError("cond_norm requires a nonnegative function")
-    return StepFunction._reduced(*_cond_runs(f.den, f.nums, f.values, level, exact))
+    return StepFunction._reduced(*_cond_runs(f.den, f.nums, f.values, level))
 
 
-def _cond_runs(den, nums, values, level, exact):
+def _cond_runs(den, nums, values, level):
     """cond_norm of the function with values ``values`` on the pieces
     ending at n / den for n in nums, as (lattice, breakpoints, values):
     canonical, but not reduced.
@@ -579,7 +577,7 @@ def _cond_runs(den, nums, values, level, exact):
                 mean = _weighted_sum([(t * t, n) for t, n in terms], lat)
                 # a float meets width as float(width), as Fraction's operator would
                 mean = mean / wf if type(mean) is float else mean / width
-            v = exact_sqrt(mean) if exact else float(mean) ** 0.5
+            v = float(mean) ** 0.5
             pos = c1
             if b == c1:
                 i += 1

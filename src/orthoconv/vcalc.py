@@ -75,7 +75,7 @@ class VTrace:
         }
 
 
-def v_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
+def v_step(h: StepFunction, j: int) -> StepFunction:
     """(h ^ 2**j) + ||(h - 2**j)^+||_j.
 
     One walk over h's pieces forms the canonical runs of h ^ 2**j and
@@ -102,20 +102,19 @@ def v_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
             pv.append(p)
     if not all(0 <= p for p in pv):
         raise ValueError("cond_norm requires a nonnegative function")
-    den, cn, cv = _cond_runs(h.den, pn, pv, j, exact)
+    den, cn, cv = _cond_runs(h.den, pn, pv, j)
     return StepFunction._reduced(den, *_merge(den, _rescale(mn, den // h.den), mv,
                                               cn, cv, operator.add))
 
 
-def v_bar_step(h: StepFunction, j: int, exact: bool = False) -> StepFunction:
+def v_bar_step(h: StepFunction, j: int) -> StepFunction:
     """(h ^ 2**j) + 2**j 1_(h >= 2**j) + ||(h - 2**(j+1))^+||_j."""
     c = 1 << j
     plateau = h.indicator_ge(c) * c
-    return h.minimum(c) + plateau + cond_norm(pos_part(h, 2 * c), j, exact=exact)
+    return h.minimum(c) + plateau + cond_norm(pos_part(h, 2 * c), j)
 
 
-def v_composite(h: StepFunction, j_lo: int, j_hi: int,
-                exact: bool = False, bar: bool = False) -> VTrace:
+def v_composite(h: StepFunction, j_lo: int, j_hi: int, bar: bool = False) -> VTrace:
     """V_{j_lo}(V_{j_lo+1}(... V_{j_hi} h)), finest level first."""
     if j_lo > j_hi:
         raise ValueError("need j_lo <= j_hi")
@@ -123,8 +122,8 @@ def v_composite(h: StepFunction, j_lo: int, j_hi: int,
     levels = []
     cur = h
     for j in range(j_hi, j_lo - 1, -1):
-        cur = step(cur, j, exact=exact)
-        levels.append((j, cur, cur.l2_norm(exact=exact)))
+        cur = step(cur, j)
+        levels.append((j, cur, cur.l2_norm()))
     return VTrace(h, levels)
 
 
@@ -139,7 +138,7 @@ def stabilization_level(h: StepFunction) -> int:
     return i
 
 
-def v_functional(h: StepFunction, exact: bool = False):
+def v_functional(h: StepFunction):
     """The limit functional V h for bounded h >= 0.
 
     Equal to ||V_0 ... V_i h|| at the stabilization level i; for bounded
@@ -148,7 +147,7 @@ def v_functional(h: StepFunction, exact: bool = False):
     if not h.is_nonnegative():
         raise ValueError("V is defined for nonnegative functions")
     i = stabilization_level(h)
-    trace = v_composite(h, 0, i, exact=exact)
+    trace = v_composite(h, 0, i)
     trace.stabilized_at = i
     return trace.norm, trace
 
@@ -273,17 +272,17 @@ class TypeReduction:
         self.g_corr = g_corr
         self.selections = selections
 
-    def defect_certificate(self, exact: bool = False):
+    def defect_certificate(self):
         """Split V_j h - V_j(reduced) into p + q with certified bounds.
 
         p is dominated by ||f_corr||_j (so p <= 2**-j for j >= 5) and q
         by ||g_corr||_j <= 2**-j (V_j h - 2**j)^+.  Both are grid-j
         measurable by construction.
         """
-        vh = v_step(self.h, self.j, exact=exact)
-        vu = v_step(self.reduced, self.j, exact=exact)
+        vh = v_step(self.h, self.j)
+        vu = v_step(self.reduced, self.j)
         defect = vh - vu
-        fbound = cond_norm(self.f_corr, self.j, exact=exact)
+        fbound = cond_norm(self.f_corr, self.j)
         p = defect.minimum(fbound)
         q = defect - p
         return vh, vu, p, q, fbound

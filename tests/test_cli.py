@@ -142,6 +142,29 @@ def test_construct_invalid_points_is_data_error(tmp_path):
     assert run_cli(["construct", "--b", "0,1/2,1"]) == 2
 
 
+def test_construct_builds_one_maximal_function(tmp_path, monkeypatch):
+    # the build's challenge report carries the maximal function that the
+    # exceedance measures read
+    import orthoconv.construct as construct
+    import orthoconv.ortho as ortho
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return maximal_function(X)
+
+    maximal_function = ortho.maximal_function
+    for mod in (construct, ortho):
+        monkeypatch.setattr(mod, "maximal_function", counted)
+    out = tmp_path / "proc.json"
+    assert run_cli(["construct", "--b", "0,1/3,2/3,1", "--y", "3",
+                    "--out", str(out)]) == 0
+    assert len(calls) == 1
+    rep = json.loads(out.read_text())
+    assert rep["exceedance_at_achieved_y"] == "1/3"
+    assert rep["exceedance_table"] == [{"y": "3", "measure_ge": "1/3", "measure_gt": "1/3"}]
+
+
 def test_verify_selected_suites(tmp_path):
     out = tmp_path / "ver.json"
     code = run_cli(["verify", "--suite", "block_selection",
@@ -152,6 +175,17 @@ def test_verify_selected_suites(tmp_path):
     assert rep["passed"] is True
     assert {r["name"] for r in rep["results"]} == {"block_selection",
                                                    "digit_tail_bound"}
+
+
+def test_verify_count_reports_the_instances_run(tmp_path):
+    # the three suites with a fixed instance set run it whatever --count says
+    out = tmp_path / "ver.json"
+    assert run_cli(["verify", "--suite", "cell_oscillation_bound", "--suite",
+                    "family_exactness", "--suite", "process_gram", "--count", "5",
+                    "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert {r["name"]: r["instances"] for r in rep["results"]} == {
+        "cell_oscillation_bound": 2, "family_exactness": 3, "process_gram": 6}
 
 
 def test_verify_unknown_suite_is_usage_error():

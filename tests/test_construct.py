@@ -13,7 +13,7 @@ from orthoconv.construct import (
     phi_family, split_increment, trivial_cert,
 )
 from orthoconv.info import PointSet
-from orthoconv.ortho import IdAllocator, OrthoVector, maximal_function
+from orthoconv.ortho import IdAllocator, OrthoVector, _max_abs, maximal_function
 from orthoconv.stepfn import StepFunction
 from orthoconv.exactnum import exact_sqrt
 from orthoconv.suites import run_suite
@@ -155,7 +155,7 @@ def test_householder_family_exact():
 
 def test_split_increment_exact():
     alloc = IdAllocator(5)
-    vec = OrthoVector(StepFunction.indicator(0, F(1, 2), value=2, base=0), {0: 1})
+    vec = OrthoVector(StepFunction.indicator(0, F(1, 2), value=2), {0: 1})
     parts = split_increment(vec, [F(1, 4), F(1, 2), F(1, 4)], alloc)
     total = OrthoVector()
     for u in parts:
@@ -372,25 +372,24 @@ def test_build_divergent_trivial_set():
 
 
 def test_build_divergent_base_set_is_rescaled_depth1():
-    out = build_divergent(PointSet([0, F(1, 3), F(2, 3), 1]), y_target=4)
+    out = build_divergent(PointSet([0, F(1, 3), F(2, 3), 1]))
     assert out["achieved_y"] == pytest.approx(4.0)
-    assert out["exceedance_at_achieved_y"] == F(1, 3)
     rep = out["report"]
+    assert rep["good_measure"] == F(1, 3)
     assert rep["final_value_ok"] and rep["membership_ok"]
     assert rep["gram_deviation"] == 0
     # matches the direct depth-1 grid construction exactly
     direct = grid_cert(PointSet([0, F(1, 3), F(2, 3), 1]), 0, 1, 1)
     m_direct = maximal_function(
         direct.verify_challenge(0, 1, unit_chi())["process"])
-    m_built = maximal_function(rep["process"])
-    assert m_direct == m_built
+    assert m_direct == maximal_function(rep["process"]) == rep["maximal_function"]
 
 
 def test_build_divergent_full_level1_grid():
-    out = build_divergent(PointSet([F(n, 9) for n in range(10)]), y_target=8)
+    out = build_divergent(PointSet([F(n, 9) for n in range(10)]))
     assert out["achieved_y"] == pytest.approx(8.0)
-    assert out["exceedance_at_target"] == F(5, 9)
     rep = out["report"]
+    assert rep["maximal_function"].measure_ge(8) == F(5, 9)
     assert rep["final_value_ok"] and rep["membership_ok"]
     assert rep["gram_deviation"] == 0
 
@@ -407,7 +406,7 @@ def test_build_divergent_large_max_event():
     # greater than 1/6 on a rich enough set
     out = build_divergent(PointSet([F(n, 81) for n in range(82)]))
     X = out["report"]["process"]
-    m = maximal_function(X, absolute=True)
+    m = _max_abs([X.vectors[t] for t in X.times])[0]
     thr = 24 * math.sqrt(3)  # unit rescaling of the exceedance level 1
     measure = m.measure_gt(thr)
     assert float(measure) > 1 / 6
@@ -478,7 +477,7 @@ def test_nest_over_grid_children():
             pts.add(lo + m * F(1, 9))
     B = PointSet(pts)
     subs = [grid_cert(B, F(b, 3), F(b + 1, 3), 1) for b in range(3)]
-    out = nest(1, subs, B)
+    out = nest(1, subs)
     assert out.y == exact_sqrt(3) * subs[0].y + 4
     rep = out.verify_challenge(0, 1, unit_chi())
     assert rep["final_value_ok"] and rep["membership_ok"]

@@ -124,7 +124,7 @@ def test_triadic_fn_of_triadic_set():
 
 
 def test_triadic_fn_violation_witness():
-    h = StepFunction.indicator(0, F(1, 6), value=2, base=0) + 1
+    h = StepFunction.indicator(0, F(1, 6), value=2) + 1
     ok, witness = is_triadic_fn(h)
     assert not ok
     # the level-1 cell (1/9, 2/9] is cut by the boundary point 1/6
@@ -147,7 +147,7 @@ def test_type_level_value_not_power():
 def test_type_level_representation_lists_excess():
     w = F(1, 81)
     h = StepFunction.constant(2).maximum(
-        StepFunction.indicator(0, w, value=5, base=0))
+        StepFunction.indicator(0, w, value=5))
     ok, _ = is_type_level(h, 1)
     assert ok
     rep = type_level_representation(h, 1)

@@ -74,7 +74,7 @@ def test_simple_process_phi_k1_exact():
     X = OrthoProcess(list(vecs), vecs, mode="simple", carrier=[(F(0), F(1))])
     assert gram_check(X) == 0
     m = maximal_function(X)
-    assert m == StepFunction.indicator(F(1, 3), F(2, 3), value=24, base=0)
+    assert m == StepFunction.indicator(F(1, 3), F(2, 3), value=24)
     assert m.measure_ge(24) == F(1, 3)
 
 
@@ -94,8 +94,8 @@ def test_maximal_function_k2_binomial():
 
 
 def test_maximal_function_disjoint_supports_max_of_maxima():
-    a = OrthoVector(StepFunction.indicator(0, F(1, 2), value=3, base=0))
-    b = OrthoVector(StepFunction.indicator(F(1, 2), 1, value=5, base=0))
+    a = OrthoVector(StepFunction.indicator(0, F(1, 2), value=3))
+    b = OrthoVector(StepFunction.indicator(F(1, 2), 1, value=5))
     X = OrthoProcess([0, F(1, 2), 1],
                      {F(0): OrthoVector(), F(1, 2): a, F(1): a + b},
                      mode="unit")
@@ -344,7 +344,7 @@ def test_gram_check_perturbed_by_fresh_coordinate(name):
     c = R2 / 3 + 1
     vecs = dict(X.vectors)
     t = X.times[len(X.times) // 2]
-    vecs[t] = vecs[t] + OrthoVector.basis(IdAllocator.after(*vecs.values()).fresh(), c)
+    vecs[t] = vecs[t] + c * OrthoVector.basis(IdAllocator.after(*vecs.values()).fresh())
     Y = OrthoProcess(X.times, vecs, mode=X.mode, carrier=X.carrier)
     assert gram_check(Y) == pairwise_gram_check(Y) == c * c
     assert type(gram_check(Y)) is RootSum

@@ -150,8 +150,10 @@ def test_continuity_verdict_finite_set():
 
 
 def test_continuity_verdict_trivial_set():
-    rep = continuity_verdict(PointSet([0, 1]), 0, [F(1, 2)], clip_floor=0)
-    assert rep["windows"][0]["trace"][0] == 0
+    # H vanishes on a set without inner points, so V sees the clip floor
+    # 1 on the window (0, 1/2] alone
+    rep = continuity_verdict(PointSet([0, 1]), 0, [F(1, 2)])
+    assert rep["windows"][0]["trace"][0] == 0.5 ** 0.5
 
 
 def test_continuity_verdict_requires_membership():

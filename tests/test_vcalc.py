@@ -21,33 +21,33 @@ import random
 
 def test_v_step_below_threshold_is_identity():
     h = StepFunction.constant(F(3, 4))
-    assert v_step(h, 0, exact=True) == h
+    assert v_step(h, 0) == h
 
 
 def test_v_step_fixes_constants():
     h = StepFunction.constant(7)
-    assert v_step(h, 1, exact=True) == h
+    assert v_step(h, 1) == h
 
 
 def test_v_step_indicator_example():
-    h = StepFunction.indicator(0, F(1, 3), value=2, base=0)
-    assert v_step(h, 0, exact=True) == h
+    h = StepFunction.indicator(0, F(1, 3), value=2)
+    assert v_step(h, 0) == h
 
 
 def test_v_bar_step_at_threshold():
     h = StepFunction.constant(2)
-    assert v_bar_step(h, 1, exact=True) == StepFunction.constant(4)
+    assert v_bar_step(h, 1) == StepFunction.constant(4)
 
 
 def test_v_bar_step_below_is_identity():
     h = StepFunction.constant(F(3, 2))
-    assert v_bar_step(h, 1, exact=True) == h
+    assert v_bar_step(h, 1) == h
 
 
 def test_v_bar_step_constant_arithmetic():
     j = 1
     h = StepFunction.constant(2 ** (j + 1) + 1)
-    out = v_bar_step(h, j, exact=True)
+    out = v_bar_step(h, j)
     assert out == StepFunction.constant(2 ** (j + 1) + 1)
 
 
@@ -63,11 +63,11 @@ def test_v_bar_preserves_triadic():
 
 def test_v_composite_identity_cases():
     h = StepFunction.constant(1)
-    tr = v_composite(h, 0, 3, exact=True)
+    tr = v_composite(h, 0, 3)
     assert all(f == h for _, f, _ in tr.levels)
     assert tr.norm == 1
     h2 = StepFunction([F(1, 3), F(1)], [F(1, 2), 1])
-    tr2 = v_composite(h2, 1, 3, exact=True)  # bounded by 2**1
+    tr2 = v_composite(h2, 1, 3)  # bounded by 2**1
     assert tr2.final == h2
 
 
@@ -171,7 +171,7 @@ def test_type_reduction_single_excess_cell():
     from orthoconv.stepfn import grid_width
     w = grid_width(6)
     h = StepFunction.constant(F(2) ** 5).maximum(
-        StepFunction.indicator(0, w, value=F(2) ** 6 + 3, base=0))
+        StepFunction.indicator(0, w, value=F(2) ** 6 + 3))
     red = type_reduction(h, 5)
     # one member never fills a block: the value keeps a = 3, c picks up 2**5
     assert red.reduced.eval(w / 2) == F(2) ** 6 + 3 - F(2) ** 5
@@ -228,15 +228,15 @@ def test_slice_triangle_suite():
 # became the int 1 << j
 
 
-def o_v_step(h, j, exact=False):
+def o_v_step(h, j):
     c = F(2) ** j
-    return h.minimum(c) + cond_norm(pos_part(h, c), j, exact=exact)
+    return h.minimum(c) + cond_norm(pos_part(h, c), j)
 
 
-def o_v_bar_step(h, j, exact=False):
+def o_v_bar_step(h, j):
     c = F(2) ** j
     plateau = h.indicator_ge(c) * c
-    return h.minimum(c) + plateau + cond_norm(pos_part(h, 2 * c), j, exact=exact)
+    return h.minimum(c) + plateau + cond_norm(pos_part(h, 2 * c), j)
 
 
 def outcome(fn, *args, **kwargs):
@@ -274,8 +274,8 @@ def v_step_functions(draw, vals):
     v_step_functions(st.fractions(min_value=0, max_value=20, max_denominator=64)),
     v_step_functions(st.floats(min_value=0, max_value=20, allow_nan=False)),
     v_step_functions(v_values)),
-    st.integers(min_value=0, max_value=4), st.booleans())
+    st.integers(min_value=0, max_value=4))
 @settings(max_examples=200, deadline=None)
-def test_int_threshold_matches_fraction_threshold(h, j, exact):
-    assert outcome(v_step, h, j, exact=exact) == outcome(o_v_step, h, j, exact=exact)
-    assert outcome(v_bar_step, h, j, exact=exact) == outcome(o_v_bar_step, h, j, exact=exact)
+def test_int_threshold_matches_fraction_threshold(h, j):
+    assert outcome(v_step, h, j) == outcome(o_v_step, h, j)
+    assert outcome(v_bar_step, h, j) == outcome(o_v_bar_step, h, j)

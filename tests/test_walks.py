@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from orthoconv.criteria import _Levels, theorem_conditions
-from orthoconv.exactnum import exact_sqrt
 from orthoconv.info import CoefficientSeq, info_fn, tail_set
 from orthoconv.stepfn import (
     StepFunction, _weighted_sum, clip_min, cond_norm, grid_size, grid_width, pos_part,
@@ -61,7 +60,7 @@ def ref_pieces_between(nums, values, lo, hi):
     return terms
 
 
-def ref_cond_norm(f, level, exact=False):
+def ref_cond_norm(f, level):
     if not f.is_nonnegative():
         raise ValueError("cond_norm requires a nonnegative function")
     size = grid_size(level)
@@ -86,7 +85,7 @@ def ref_cond_norm(f, level, exact=False):
                 mean = float(mean)
         else:
             mean = ref_weighted_sum([(v * v, n) for v, n in terms], den) / width
-        cell_rms[idx] = exact_sqrt(mean) if exact else float(mean) ** 0.5
+        cell_rms[idx] = float(mean) ** 0.5
     cuts = set(nums)
     for idx in marked:
         cuts.add(idx * w)
@@ -102,9 +101,9 @@ def ref_cond_norm(f, level, exact=False):
     return StepFunction.from_lattice(den, sorted(cuts), vals)
 
 
-def ref_v_step(h, j, exact=False):
+def ref_v_step(h, j):
     c = 1 << j
-    return h.minimum(c) + ref_cond_norm(pos_part(h, c), j, exact=exact)
+    return h.minimum(c) + ref_cond_norm(pos_part(h, c), j)
 
 
 def ref_l2_norm(f):
@@ -242,20 +241,18 @@ def function_and_level(draw):
 
 # -- the V step and the conditional norm --------------------------------
 
-@given(function_and_level(), st.booleans())
+@given(function_and_level())
 @settings(max_examples=400, deadline=None)
-def test_v_step_matches_composed(fl, exact):
+def test_v_step_matches_composed(fl):
     h, j = fl
-    assert same_outcome(outcome(v_step, h, j, exact=exact),
-                        outcome(ref_v_step, h, j, exact=exact))
+    assert same_outcome(outcome(v_step, h, j), outcome(ref_v_step, h, j))
 
 
-@given(function_and_level(), st.booleans())
+@given(function_and_level())
 @settings(max_examples=300, deadline=None)
-def test_cond_norm_matches_composed(fl, exact):
+def test_cond_norm_matches_composed(fl):
     f, level = fl
-    assert same_outcome(outcome(cond_norm, f, level, exact=exact),
-                        outcome(ref_cond_norm, f, level, exact=exact))
+    assert same_outcome(outcome(cond_norm, f, level), outcome(ref_cond_norm, f, level))
 
 
 def test_cond_norm_cell_starting_on_a_breakpoint_keeps_the_float_path():
@@ -275,7 +272,6 @@ def test_v_step_at_level_ten_takes_exact_cell_means():
     # cells of width 3**-1024 have a float width of 0
     h = StepFunction([F(1, 3), F(2, 3), F(1)], [1500.5, 2000, 1024.0])
     assert same_function(v_step(h, 10), ref_v_step(h, 10))
-    assert same_function(v_step(h, 10, exact=True), ref_v_step(h, 10, exact=True))
 
 
 @given(st.lists(st.tuples(st.one_of(st.integers(-5, 20),
