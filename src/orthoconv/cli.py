@@ -26,8 +26,10 @@ import os
 import sys
 from fractions import Fraction
 
+from .construct import BUILD_MAX_LEVEL
 from .exactnum import parse_rational, value_to_json
 from .info import CoefficientSeq, PointSet, info_fn, tail_set
+from .stepfn import grid_size
 from .vcalc import v_functional
 from . import criteria as crit
 from .sets import continuity_verdict
@@ -42,6 +44,9 @@ EXIT_ASSERT = 3
 # depth 18 takes about 4 s and 66 MB on a 2-core x86 VM, and the cost
 # grows two- to threefold per level
 CANTOR_MAX_DEPTH = 20
+
+# the levels of ``construct --grid`` as text, "0, 1 or 2"
+GRID_LEVELS = "%s or %d" % (", ".join(map(str, range(BUILD_MAX_LEVEL))), BUILD_MAX_LEVEL)
 
 
 def _read_coefficients(path: str) -> CoefficientSeq:
@@ -189,10 +194,10 @@ def cmd_construct(args) -> int:
         try:
             thresholds = [parse_rational(y) for y in (args.y or [])]
             if args.grid is not None:
-                if args.grid not in (0, 1, 2):
-                    raise ValueError("grid level must be 0, 1 or 2")
-                step = Fraction(1, 3 ** (2 ** args.grid))
-                B = PointSet([n * step for n in range(3 ** (2 ** args.grid) + 1)])
+                if not 0 <= args.grid <= BUILD_MAX_LEVEL:
+                    raise ValueError("grid level must be %s" % GRID_LEVELS)
+                size = grid_size(args.grid)
+                B = PointSet.from_lattice(size, range(size + 1))
             else:
                 B = PointSet([parse_rational(p) for p in args.b.split(",")])
             out = build_divergent(B)
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", type=int, default=None, help="generator-family depth")
     pc.add_argument("--b", default=None, help="comma-separated triadic point set")
     pc.add_argument("--grid", type=int, default=None,
-                    help="full grid at level 0, 1 or 2")
+                    help="full grid at level %s" % GRID_LEVELS)
     pc.add_argument("--y", action="append", default=None,
                     help="report threshold (repeatable)")
     pc.add_argument("--full", action="store_true",

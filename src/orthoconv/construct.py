@@ -38,7 +38,7 @@ from .ortho import (
     gram_check,
     maximal_function,
 )
-from .stepfn import StepFunction
+from .stepfn import StepFunction, format_lattice_point, grid_size, grid_width
 
 __all__ = [
     "TernaryContext",
@@ -53,6 +53,7 @@ __all__ = [
     "nest",
     "corollary_union",
     "corollary_equal_blocks",
+    "BUILD_MAX_LEVEL",
     "build_divergent",
     "divergent_prefix",
     "split_increment",
@@ -321,13 +322,13 @@ class ComplexityCert:
         return OrthoProcess(list(vectors), vectors, mode="simple",
                             carrier=self.intervals)
 
-    def verify_challenge(self, a, b, chi: OrthoVector, alloc=None) -> dict:
+    def verify_challenge(self, a, b, chi: OrthoVector) -> dict:
         """Direct evaluation of all certificate conditions on one challenge;
         for a nonempty window the report also holds the maximal function."""
         a, b = Fraction(a), Fraction(b)
-        X = self.witness(a, b, chi, alloc)
+        X = self.witness(a, b, chi)
         t0, t1 = X.times[0], X.times[-1]
-        report = {"process": X, "kind": self.kind}
+        report = {"process": X}
         report["starts_at_zero"] = X.vectors[t0].is_zero()
         report["final_value_ok"] = X.vectors[t1].equals(self.final_target(chi))
         report["membership_ok"] = all(
@@ -339,8 +340,6 @@ class ComplexityCert:
             good = _measure_ge_root(m.restrict(a, b) if a > ZERO or b < ONE else m,
                                     self.y_sq, w)
             report["maximal_function"] = m
-            report["window"] = (a, b)
-            report["threshold"] = sqrt_float(self.y_sq / w)
             report["good_measure"] = good
             report["achieved_eps"] = float((w - good) / w)
             report["nominal_eps"] = self.eps
@@ -375,8 +374,6 @@ def trivial_cert(B: PointSet, lo, hi) -> ComplexityCert:
         pts = [Fraction(p) for p in B.restrict(lo, hi)]
         target = (24 * exact_sqrt(3 * (hi - lo))) * chi
         subs = [pts[r + 1] - pts[r] for r in range(len(pts) - 1)]
-        if not subs:
-            return {pts[0]: OrthoVector()}
         parts = split_increment(target, subs, alloc)
         vectors = {pts[0]: OrthoVector()}
         acc = OrthoVector()
@@ -607,6 +604,10 @@ def corollary_equal_blocks(k: int, certs, level_value):
 # ---------------------------------------------------------------------------
 # the divergent-process builder
 
+# Level budget of build_divergent and of ``construct --grid``: every point
+# of B lies on the grid of this level, where the recursion into subcells ends.
+BUILD_MAX_LEVEL = 2
+
 
 def _hu_min_on(hu: StepFunction, lo, hi):
     vals = [v for plo, phi, v in hu.pieces() if phi > lo and plo < hi]
@@ -633,25 +634,26 @@ def build_divergent(B: PointSet) -> dict:
     the directly measured numbers.
     """
     from .sets import is_triadic_set
-    from .stepfn import grid_width
     from .vcalc import select_blocks
     ok, witness_bad = is_triadic_set(B)
     if not ok:
         raise ValueError("time set is not triadic: %r" % (witness_bad,))
-    for p in B.points:
-        if (p.numerator * 81) % p.denominator:
-            raise ValueError("level budget exceeded: %s is finer than level 2" % p)
+    size = grid_size(BUILD_MAX_LEVEL)
+    for n in B.nums:
+        if n * size % B.den:
+            raise ValueError("level budget exceeded: %s is finer than level %d"
+                             % (format_lattice_point(n, B.den), BUILD_MAX_LEVEL))
     h = info_fn(B, base=3).maximum(1)
     hu = dyadic_floor(h)
     steps = []
 
     def cert_for(child_level: int, lo: Fraction, hi: Fraction) -> ComplexityCert:
-        """Certificate for the cell [lo, hi] whose subcells sit at child_level."""
+        """Certificate for the cell [lo, hi], which holds points of B inside,
+        and whose 3**depth subcells sit at child_level <= BUILD_MAX_LEVEL."""
         interior = [p for p in B.restrict(lo, hi) if lo < p < hi]
-        if not interior or child_level > 2:
-            return trivial_cert(B, lo, hi)
+        depth = 1 << max(child_level - 1, 0)
+        count = 3 ** depth
         width = grid_width(child_level)
-        count = int((hi - lo) / width)
         children = [(lo + n * width, lo + (n + 1) * width) for n in range(count)]
         # subcells with interior points recurse; empty stretches split into
         # whole gaps of B (gap endpoints are in B, so each is a carrier)
@@ -703,9 +705,7 @@ def build_divergent(B: PointSet) -> dict:
         if len(certs) >= 2:
             candidates.append(("merge", merge(certs)))
         if len(cellish) == len(certs) == count:
-            k_all = {3: 1, 9: 2, 81: 4}.get(count)
-            if k_all is not None:
-                candidates.append(("nest[k=%d]" % k_all, nest(k_all, certs)))
+            candidates.append(("nest[k=%d]" % depth, nest(depth, certs)))
         if len(certs) == 1:
             candidates.append(("single", certs[0]))
         best_name, best = candidates[0]
@@ -731,9 +731,10 @@ def divergent_prefix(block_sets, cuts) -> ProductProcess:
     Each entry of block_sets is a finite triadic PointSet in unit
     coordinates; its divergent process becomes one independent factor on
     the corresponding time block (cuts strictly decreasing, at most 4
-    blocks).  Returns the glued product process.
+    blocks), entering by the maximal function its build reports.  Returns
+    the glued product process.
     """
     if len(block_sets) > 4:
         raise ValueError("product budget: at most 4 factors")
-    blocks = [build_divergent(Bs)["report"]["process"] for Bs in block_sets]
-    return ProductProcess(blocks, cuts)
+    maxima = [build_divergent(Bs)["report"]["maximal_function"] for Bs in block_sets]
+    return ProductProcess(maxima, cuts)

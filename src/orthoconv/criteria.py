@@ -9,13 +9,12 @@ is attached to them.  The slice convention for a positive number z is
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 
-from .exactnum import log_ratio
+from .exactnum import floor_log2, log_ratio
 from .info import CoefficientSeq, info_fn, tail_set
-from .stepfn import _rescale
+from .stepfn import _Levels, _rescale
 
 __all__ = [
     "rm_weyl",
@@ -75,36 +74,6 @@ def _nonzero_terms(seq: CoefficientSeq):
     return [(n, num, s, z) for n, (num, s, z) in
             enumerate(zip(seq.nums, seq.square_floats(), seq.neg_log2_moduli()), start=1)
             if num]
-
-
-class _Levels:
-    """Exact levels of ratios den / n > 0 for one base b: the largest
-    k >= 0 with n * b**(2**k) <= den (< den when strict), or -1.
-
-    The powers b**(2**k) are kept as they are first needed.  A product
-    n * p has the bit length of n plus that of p, or one less.  So with t
-    the difference of the bit lengths of den and n, every power of fewer
-    than t bits stays below den and every one of more than t + 1 bits
-    exceeds it: only a power of t or t + 1 bits is multiplied out.
-    """
-
-    def __init__(self, base: int):
-        self.powers = [base]
-        self.bits = [base.bit_length()]
-
-    def __call__(self, n: int, den: int, strict: bool = False) -> int:
-        t = den.bit_length() - n.bit_length()
-        powers, bits = self.powers, self.bits
-        while bits[-1] <= t + 1:
-            powers.append(powers[-1] ** 2)
-            bits.append(powers[-1].bit_length())
-        k = bisect.bisect_left(bits, t) - 1
-        while bits[k + 1] <= t + 1:
-            m = n * powers[k + 1]
-            if not (m < den if strict else m <= den):
-                break
-            k += 1
-        return k
 
 
 def beta_condition(seq: CoefficientSeq) -> dict:
@@ -240,9 +209,8 @@ def tandori_sum(seq: CoefficientSeq) -> dict:
         if n < 2:
             below.append(n)
             continue
-        i = 0
-        while 2 ** (2 ** (i + 1)) <= n:
-            i += 1
+        # 2**2**i <= n exactly when 2**i <= floor(log2 n)
+        i = floor_log2(floor_log2(n))
         blocks.setdefault(i, 0.0)
         blocks[i] += s * _log2_sq(n)
     terms = {i: math.sqrt(v) for i, v in sorted(blocks.items())}
@@ -320,10 +288,7 @@ def theorem_conditions(seq: CoefficientSeq, indicator: str = "I", B=None) -> dic
         if blk > 0:
             add(beta, blk, vv, run)
         # gamma: 2**k <= v < 2**(k+1), or k = 0 below 2
-        if v < 2:
-            k = 0
-        else:
-            k = v.bit_length() - 1 if exact else math.frexp(v)[1] - 1
+        k = floor_log2(v) if v >= 2 else 0
         for j in range(top, k, -1):
             end_run(j, lo - run_lo[j])
         for j in range(top + 1, k + 1):

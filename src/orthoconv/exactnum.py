@@ -25,6 +25,7 @@ __all__ = [
     "RootSum",
     "exact_sqrt",
     "sqrt_float",
+    "floor_log2",
     "log_ratio",
     "parse_rational",
     "format_rational",
@@ -440,6 +441,28 @@ def sqrt_float(x) -> float:
         if f is not None:
             return f
         prec *= 2
+
+
+def floor_log2(x) -> int:
+    """The j with 2**j <= x < 2**(j+1), decided exactly, for a finite
+    int, Fraction or float x > 0 or a RootSum x >= 1; ValueError else.
+
+    A Fraction n/d lies within a factor 2 of 2**j, j the difference of
+    the bit lengths of n and d: one shifted comparison decides between j
+    and j - 1.  A RootSum has the level of its floor.
+    """
+    t = type(x)
+    if t is int and x > 0:
+        return x.bit_length() - 1
+    if t is float and 0 < x < math.inf:
+        return math.frexp(x)[1] - 1
+    if t is Fraction and x > 0:
+        n, d = x.numerator, x.denominator
+        j = n.bit_length() - d.bit_length()
+        return j if (n >= d << j if j >= 0 else n << -j >= d) else j - 1
+    if t is RootSum and x >= 1:
+        return math.floor(x).bit_length() - 1
+    raise ValueError("no dyadic level of %r" % (x,))
 
 
 def log_ratio(num: int, den: int, log=math.log) -> float:

@@ -16,7 +16,7 @@ import bisect
 import math
 from fractions import Fraction
 
-from .exactnum import format_rational, log_ratio, parse_rational
+from .exactnum import floor_log2, format_rational, log_ratio, parse_rational
 from .stepfn import (StepFunction, format_lattice_point, grid_size, grid_width,
                      lattice_of)
 
@@ -51,17 +51,17 @@ class CoefficientSeq:
     gives them as Fractions, built on first access, and ``square_floats``
     as floats, each ``n / den`` (correctly rounded, as ``float`` of the
     Fraction is).  The normalized form puts the numerators over their sum,
-    so its squares sum to 1 exactly.
+    so its squares sum to 1 exactly.  Whether every coefficient is
+    nonnegative is decided once, on the signed numerators.
     """
 
     def __init__(self, coeffs):
         vals = [parse_rational(c) for c in coeffs]
         if not vals:
             raise ValueError("empty coefficient sequence")
-        self.coeffs = tuple(vals)
         # lcm(d_i)**2 = lcm(d_i**2), and it stays reduced for the squares
         den, nums = lattice_of(vals)
-        self._set(den * den, [n * n for n in nums])
+        self._set(den * den, [n * n for n in nums], all(n >= 0 for n in nums))
 
     @classmethod
     def from_squares(cls, squares):
@@ -72,19 +72,17 @@ class CoefficientSeq:
         if any(s < 0 for s in sq):
             raise ValueError("squares must be nonnegative")
         obj = cls.__new__(cls)
-        obj.coeffs = tuple(float(s) ** 0.5 for s in sq)
-        obj._set(*lattice_of(sq))
+        obj._set(*lattice_of(sq), True)
         obj._squares = tuple(sq)
-        obj._nonneg = True
         return obj
 
-    def _set(self, den, nums):
+    def _set(self, den, nums, nonneg):
         self.den = den
         self.nums = tuple(nums)
+        self._nonneg = nonneg
         self._squares = None
         self._floats = None
         self._neg_log2 = None
-        self._nonneg = None
 
     @property
     def squares(self):
@@ -116,13 +114,11 @@ class CoefficientSeq:
         return self._neg_log2
 
     def nonnegative(self) -> bool:
-        """Whether every coefficient a_n >= 0, decided once."""
-        if self._nonneg is None:
-            self._nonneg = all(c >= 0 for c in self.coeffs)
+        """Whether every coefficient a_n >= 0."""
         return self._nonneg
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self.nums)
 
     def normalized(self) -> "CoefficientSeq":
         """Rescale so that the squares sum to 1 exactly.
@@ -138,9 +134,7 @@ class CoefficientSeq:
         # the gcd of the numerators divides their sum; after it the lattice is reduced
         g = math.gcd(*self.nums)
         out = CoefficientSeq.__new__(CoefficientSeq)
-        out._set(total // g, [n // g for n in self.nums])
-        out.coeffs = tuple(s ** 0.5 for s in out.square_floats())
-        out._nonneg = True
+        out._set(total // g, [n // g for n in self.nums], True)
         return out
 
     def is_normalized(self) -> bool:
@@ -330,14 +324,8 @@ def floor_pow2(a):
     """Largest power 2**j <= a, for a >= 1; exponent returned too."""
     if not 1 <= a:
         raise ValueError("dyadic floor defined for values >= 1 only")
-    x = float(a)
-    j = max(0, math.floor(math.log2(x)))
-    # float log may be off by one near powers of two; fix exactly
-    while not 2 ** j <= a:
-        j -= 1
-    while 2 ** (j + 1) <= a:
-        j += 1
-    return j, Fraction(2 ** j)
+    j = floor_log2(a)
+    return j, Fraction(1 << j)
 
 
 def dyadic_floor(f: StepFunction) -> StepFunction:
@@ -365,11 +353,7 @@ def is_triadic_fn(h: StepFunction):
     """
     if not 1 <= h.min_value():
         raise ValueError("triadic functions must satisfy h >= 1")
-    top = float(h.max_value())
-    j_hi = 0
-    while 2 ** (j_hi + 1) <= top:
-        j_hi += 1
-    for j in range(j_hi + 1):
+    for j in range(floor_log2(h.max_value()) + 1):
         size = grid_size(j)
         for lo, hi in h.level_set_ge(2 ** j):
             for x in (lo, hi):
@@ -398,19 +382,11 @@ def is_type_level(h: StepFunction, j: int):
                 j + 1, format_lattice_point(n, h.den))
     limit = 2 ** (j + 1)
     for v in h.values:
-        if limit <= v:
-            continue
-        if not _is_exact_pow2_leq(v, j):
+        # h >= 1, so a value below the limit is in a band 2**j' with j' <= j
+        if v < limit and v != 1 << floor_log2(v):
             return False, "value %r below %d is not a power 2**j' with j' <= %d" % (
                 v, limit, j)
     return True, None
-
-
-def _is_exact_pow2_leq(v, j: int) -> bool:
-    for jp in range(j + 1):
-        if v == 2 ** jp:
-            return True
-    return False
 
 
 def type_level_representation(h: StepFunction, j: int):

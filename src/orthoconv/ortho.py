@@ -384,7 +384,7 @@ def menshov_bound_check(vectors):
     for i, row in enumerate(gram_matrix(vectors)):
         norms.append(row[0])
         for k, ip in enumerate(row[1:], i + 1):
-            if abs(float(ip)) > 1e-9:
+            if ip != 0:
                 raise ValueError("vectors %d and %d are not orthogonal" % (i, k))
     partial = []
     acc = None
@@ -444,24 +444,25 @@ class ProductProcess:
         X_s(t)(w_s) + sum over s' > s of (final value of X_{s'})(w_{s'}).
 
     Bodies only: external coordinates of the factors do not contribute to
-    pointwise values (representation contract).
+    pointwise values (representation contract).  So a factor enters by
+    its maximal function alone: ``maxima[s]`` is that of X_s.
     """
 
-    def __init__(self, blocks, cuts):
-        if not blocks:
+    def __init__(self, maxima, cuts):
+        if not maxima:
             raise ValueError("need at least one block")
-        if len(blocks) > 4:
+        if len(maxima) > 4:
             raise ValueError("product budget: at most 4 factors")
         cuts = [Fraction(c) for c in cuts]
-        if len(cuts) != len(blocks) + 1 or any(
+        if len(cuts) != len(maxima) + 1 or any(
                 cuts[i] <= cuts[i + 1] for i in range(len(cuts) - 1)):
             raise ValueError("cuts must be strictly decreasing, one more than blocks")
-        self.blocks = list(blocks)
+        self.maxima = list(maxima)
         self.cuts = cuts
 
     def factor_max_event_measure(self, s, y):
         """lambda(w_s : max over t of X_s(t)(w_s) >= y), bodies only."""
-        return maximal_function(self.blocks[s]).measure_ge(y)
+        return self.maxima[s].measure_ge(y)
 
     def oscillation_exceedance(self, y):
         """Product measure of {some factor oscillates to >= y}.
@@ -471,7 +472,7 @@ class ProductProcess:
         """
         miss = Fraction(1)
         per_block = []
-        for s in range(len(self.blocks)):
+        for s in range(len(self.maxima)):
             p = self.factor_max_event_measure(s, y)
             per_block.append(p)
             miss *= (1 - p)

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .info import PointSet, cantor_info_fn, info_fn
-from .stepfn import StepFunction, grid_size, grid_width
+from .stepfn import StepFunction, _Levels, grid_size, grid_width
 from .vcalc import v_functional
 
 __all__ = [
@@ -43,16 +43,6 @@ def _cell_of(t: Fraction, size: int) -> int:
     return q - 1 if r == 0 else q
 
 
-def _max_level(min_gap: Fraction) -> int:
-    """First level whose cell width drops below the minimal gap."""
-    i = 0
-    while grid_width(i) >= min_gap:
-        i += 1
-        if i > 20:  # cells are then < 3**-(2**20); nothing rational survives
-            break
-    return i
-
-
 def _on_lattice(n: int, size: int, den: int):
     """Numerator of n/size over den, or None when n/size is off that lattice."""
     q, r = divmod(n * den, size)
@@ -71,7 +61,10 @@ def is_triadic_set(B: PointSet):
         n = _on_lattice(p.numerator, p.denominator, den)
         if n not in members:
             return False, ("missing-base", p)
-    levels = range(_max_level(B.min_gap()) + 1)
+    # up to the first level whose cells are narrower than the smallest gap,
+    # and at most 21: cells are then < 3**-(2**20); nothing rational survives
+    gap = B.min_gap()
+    levels = range(min(_Levels(3)(gap.numerator, gap.denominator) + 1, 21) + 1)
     # every point must belong to some neighbor pair inside B; a pair at a
     # level whose width is off the lattice cannot lie in B
     widths = [den // grid_size(i) for i in levels if den % grid_size(i) == 0]
@@ -110,17 +103,17 @@ def generate(A: PointSet) -> GeneratedSetResult:
     included, and the result is triadic by construction (checked).
     """
     den, nums = A.den, A.nums
+    level = _Levels(3)
     pairs = set()
     for k in range(1, len(nums)):  # no half-open cell contains 0
         n = nums[k]
         r = n - nums[k - 1]  # den * dist(t, A minus {t})
         if k + 1 < len(nums):
             r = min(r, nums[k + 1] - n)
-        i = 1
-        while r * grid_size(i - 1) <= den:  # dist <= 3**-2**(i-1)
+        # the levels i >= 1 with dist <= 3**-2**(i-1)
+        for i in range(1, level(r, den) + 2):
             # the cell (c/size, (c+1)/size] holding n/den
             pairs.add((i, (n * grid_size(i) - 1) // den))
-            i += 1
     # endpoints on the finest grid used, the base quadruple included
     size = grid_size(max((i for i, _ in pairs), default=0))
     out = {0, size // 3, 2 * size // 3, size}

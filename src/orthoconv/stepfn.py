@@ -66,6 +66,38 @@ def grid_width(level: int) -> Fraction:
     return Fraction(1, grid_size(level))
 
 
+class _Levels:
+    """Exact levels of ratios den / n > 0 for one base b: the largest
+    k >= 0 with n * b**(2**k) <= den (< den when strict), or -1.  For
+    b = 3 and a gap n / den, k is the finest grid level whose cells are
+    at least as wide as the gap.
+
+    The powers b**(2**k) are kept as they are first needed.  A product
+    n * p has the bit length of n plus that of p, or one less.  So with t
+    the difference of the bit lengths of den and n, every power of fewer
+    than t bits stays below den and every one of more than t + 1 bits
+    exceeds it: only a power of t or t + 1 bits is multiplied out.
+    """
+
+    def __init__(self, base: int):
+        self.powers = [base]
+        self.bits = [base.bit_length()]
+
+    def __call__(self, n: int, den: int, strict: bool = False) -> int:
+        t = den.bit_length() - n.bit_length()
+        powers, bits = self.powers, self.bits
+        while bits[-1] <= t + 1:
+            powers.append(powers[-1] ** 2)
+            bits.append(powers[-1].bit_length())
+        k = bisect.bisect_left(bits, t) - 1
+        while bits[k + 1] <= t + 1:
+            m = n * powers[k + 1]
+            if not (m < den if strict else m <= den):
+                break
+            k += 1
+        return k
+
+
 def lattice_of(points):
     """(den, numerators) of rationals on their reduced common denominator.
 

@@ -21,10 +21,10 @@ a controlled conditional-norm defect.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
+from .exactnum import floor_log2
 from .info import type_level_representation
 from .stepfn import (StepFunction, _cond_runs, _merge, _rescale, cond_norm, grid_size,
                      pos_part)
@@ -130,12 +130,10 @@ def v_composite(h: StepFunction, j_lo: int, j_hi: int, bar: bool = False) -> VTr
 def stabilization_level(h: StepFunction) -> int:
     """ceil(log2(max(h, 1))): V_j acts as the identity above this level."""
     top = h.max_value()
-    i = max(0, math.ceil(math.log2(max(float(top), 1.0))))
-    while not top <= 2 ** i:
-        i += 1
-    while i > 0 and top <= 2 ** (i - 1):
-        i -= 1
-    return i
+    if top <= 1:
+        return 0
+    i = floor_log2(top)
+    return i if top == 1 << i else i + 1
 
 
 def v_functional(h: StepFunction):

@@ -142,6 +142,23 @@ def test_construct_invalid_points_is_data_error(tmp_path):
     assert run_cli(["construct", "--b", "0,1/2,1"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    # random_triadic_set(Random(100), 3, 8): triadic, with points at level 3
+    (["--b", "0,1/3,35/81,955/2187,2866/6561,4/9,2/3,58/81,59/81,7/9,1"],
+     "level budget exceeded: 955/2187 is finer than level 2"),
+    (["--grid", "3"], "grid level must be 0, 1 or 2"),
+    (["--grid", "-1"], "grid level must be 0, 1 or 2"),
+])
+def test_construct_level_budget(argv, message, capsys):
+    assert run_cli(["construct"] + argv) == 2
+    assert capsys.readouterr().err == "data error: %s\n" % message
+
+
+def test_construct_help_names_the_grid_levels(capsys):
+    assert run_cli(["construct", "--help"]) == 0
+    assert "full grid at level 0, 1 or 2" in capsys.readouterr().out
+
+
 def test_construct_builds_one_maximal_function(tmp_path, monkeypatch):
     # the build's challenge report carries the maximal function that the
     # exceedance measures read

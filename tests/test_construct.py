@@ -420,6 +420,24 @@ def test_divergent_prefix_product():
     assert union == F(5, 9)
 
 
+def test_divergent_prefix_makes_one_maximal_function_per_factor(monkeypatch):
+    # each factor enters by the maximal function its build reports
+    import orthoconv.construct as construct
+    import orthoconv.ortho as ortho
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return maximal_function(X)
+
+    for mod in (construct, ortho):
+        monkeypatch.setattr(mod, "maximal_function", counted)
+    B = PointSet([0, F(1, 3), F(2, 3), 1])
+    union, per = divergent_prefix([B, B, B], [1, F(1, 2), F(1, 4), 0]).oscillation_exceedance(24)
+    assert len(calls) == 3
+    assert per == [F(1, 3)] * 3 and union == 1 - F(2, 3) ** 3
+
+
 def test_family_ranged_sum_identities_k3():
     # partial sums of hat(digit_l - m_l) over index ranges with a common
     # prefix: below the ones-indicator scaled by the suffix count, with

@@ -101,19 +101,20 @@ def test_sandwich_rejects_negative():
 
 
 def test_sign_is_decided_once_per_sequence():
+    # the sign is decided on the signed lattice numerators, and no
+    # coefficient is kept to be compared again
     seq = CoefficientSeq([F(1, 2), F(-1, 2)])
-    assert not seq.nonnegative()
+    assert not seq.nonnegative() and len(seq) == 2
+    assert not hasattr(seq, "coeffs")
     # the moduli of normalized() and from_squares are nonnegative by
-    # construction: no coefficient is compared again
+    # construction, so gamma and sandwich accept them
     norm = seq.normalized()
-    norm.coeffs = None
     assert norm.nonnegative()
-    # gamma and sandwich read the decided sign, not the coefficients
-    assert gamma_condition(norm) == gamma_condition(seq.normalized())
-    assert sandwich_check(norm) == sandwich_check(seq.normalized())
+    moduli = CoefficientSeq([F(1, 2), F(1, 2)]).normalized()
+    assert gamma_condition(norm) == gamma_condition(moduli)
+    assert sandwich_check(norm) == sandwich_check(moduli)
     sq = CoefficientSeq.from_squares([F(1, 4), F(3, 4)])
-    sq.coeffs = None
-    assert sq.nonnegative()
+    assert sq.nonnegative() and len(sq) == 2
     # a normalized nonnegative sequence is its own normal form
     ones = CoefficientSeq([F(1, 2), F(1, 2), F(1, 2), F(1, 2)])
     assert ones.normalized() is ones and ones.nonnegative()
@@ -436,7 +437,7 @@ def check_against_oracle(seq, want_squares):
     assert math.gcd(norm.den, *norm.nums) == 1
     assert repr(norm.neg_log2_moduli()) == repr(tuple(
         None if s == 0 else o_neg_log2_float(s) for s in osq))
-    assert all(c >= 0 for c in norm.coeffs)
+    assert norm.nonnegative()
     assert tail_set(norm) == tail_set(seq)
     assert bits(beta_condition(norm)) == bits(o_beta(osq))
     assert bits(gamma_condition(norm)) == bits(o_gamma(osq))
@@ -450,7 +451,10 @@ def check_against_oracle(seq, want_squares):
 @given(st.lists(coefficients, min_size=1, max_size=24))
 @settings(max_examples=150, deadline=None)
 def test_lattice_sequence_matches_fraction_oracle(coeffs):
-    check_against_oracle(CoefficientSeq(coeffs), [c * c for c in coeffs])
+    seq = CoefficientSeq(coeffs)
+    assert seq.nonnegative() == all(c >= 0 for c in coeffs)
+    assert len(seq) == len(coeffs)
+    check_against_oracle(seq, [c * c for c in coeffs])
 
 
 @given(st.one_of(st.lists(squares, min_size=1, max_size=24), normalized_squares))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orthoconv.exactnum import (
-    RootSum, _srepr_term, exact_sqrt, parse_rational, sqrt_float,
+    RootSum, _srepr_term, exact_sqrt, floor_log2, parse_rational, sqrt_float,
     value_from_json, value_to_json,
 )
 from orthoconv.stepfn import StepFunction, _weighted_sum
@@ -340,3 +340,48 @@ def test_fused_inner_is_product_integral(f, g):
         want = ref_inner(a, b)
         assert same_value(a.inner(b), want)
         assert same_value((a * b).integral(), want)
+
+
+# -- floor_log2 ---------------------------------------------------------------
+
+def oracle_floor_log2(x):
+    """The j with 2**j <= x < 2**(j+1), walked by exact comparisons."""
+    x = F(x) if type(x) is float else x
+    j = 0
+    while F(2) ** (j + 1) <= x:
+        j += 1
+    while F(2) ** j > x:
+        j -= 1
+    return j
+
+
+# x = 2**j * (1 + s * delta) with 0 <= delta <= 2**-200, on either side
+near_powers = st.builds(
+    lambda j, s, m, q: F(2) ** j * (1 + s * F(m, 2 ** 200 * q)),
+    st.integers(-1100, 1100), st.sampled_from([1, -1]), st.integers(0, 1),
+    st.integers(1, 2 ** 30))
+positive_floats = st.one_of(
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False, allow_nan=False),
+    st.integers(1, 2 ** 52 - 1).map(lambda m: m * 2.0 ** -1074),  # subnormals
+    st.integers(-1074, 1023).map(lambda e: 2.0 ** e))
+# RootSums >= 1: within 2**-200 of a power of two, or 1 + |a|
+roots_ge_one = st.one_of(
+    st.builds(lambda j, s, q, d: 2 ** j + s * F(1, 2 ** 200 * q) * exact_sqrt(d),
+              st.integers(1, 1100), st.sampled_from([1, -1]), st.integers(1, 2 ** 30),
+              st.sampled_from([2, 3, 5, 6])),
+    elements().map(lambda a: 1 + abs(a[0])))
+
+
+@given(st.one_of(st.integers(1, 2 ** 1200), near_powers,
+                 st.fractions(min_value=0, max_value=10 ** 6).filter(lambda x: x > 0),
+                 positive_floats, roots_ge_one))
+@settings(max_examples=300, deadline=None)
+def test_floor_log2_matches_fraction_comparisons(x):
+    assert floor_log2(x) == oracle_floor_log2(x)
+
+
+@pytest.mark.parametrize("x", [0, -1, F(0), F(-1, 2), 0.0, -0.5, math.inf, math.nan,
+                               exact_sqrt(2) - 1, True])
+def test_floor_log2_refuses_values_without_a_level(x):
+    with pytest.raises(ValueError):
+        floor_log2(x)

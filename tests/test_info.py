@@ -4,10 +4,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from orthoconv.exactnum import exact_sqrt
 from orthoconv.info import (
     CoefficientSeq, PointSet, cantor_info_fn, cantor_points, dyadic_floor,
-    dyadic_halffloor, info_fn, is_triadic_fn, is_type_level,
+    dyadic_halffloor, floor_pow2, info_fn, is_triadic_fn, is_type_level,
     tail_set, type_level_representation,
 )
 from orthoconv.stepfn import StepFunction
@@ -173,3 +176,50 @@ def test_pointset_validation():
 def test_pointset_json_roundtrip():
     B = PointSet([0, F(1, 7), F(2, 3), 1])
     assert PointSet.from_json(B.to_json()) == B
+
+
+# -- value bands, decided by floor_log2 ---------------------------------------
+
+def float_log_floor_pow2(a):
+    """The float-log version that floor_pow2 replaced, for a inside the float range."""
+    j = max(0, math.floor(math.log2(float(a))))
+    while not 2 ** j <= a:
+        j -= 1
+    while 2 ** (j + 1) <= a:
+        j += 1
+    return j, F(2 ** j)
+
+
+# values >= 1 inside the float range, many within 2**-200 of a power of two
+values_ge_one = st.one_of(
+    st.integers(1, 2 ** 1000),
+    st.builds(lambda j, s, m, q: F(2) ** j * (1 + s * F(m, 2 ** 200 * q)),
+              st.integers(1, 1000), st.sampled_from([1, -1]), st.integers(0, 1),
+              st.integers(1, 2 ** 30)),
+    st.fractions(min_value=1, max_value=10 ** 6),
+    st.floats(min_value=1, max_value=2.0 ** 1000),
+    st.builds(lambda j, s, q, d: 2 ** j + s * F(1, 2 ** 200 * q) * exact_sqrt(d),
+              st.integers(1, 1000), st.sampled_from([1, -1]), st.integers(1, 2 ** 30),
+              st.sampled_from([2, 3, 5, 6])),
+)
+
+
+@given(values_ge_one)
+@settings(max_examples=300, deadline=None)
+def test_floor_pow2_matches_float_log_version(a):
+    got = floor_pow2(a)
+    assert got == float_log_floor_pow2(a) and type(got[1]) is F
+
+
+def test_floor_pow2_beyond_the_float_range():
+    assert floor_pow2(F(10 ** 400)) == (1328, F(2 ** 1328))
+    assert floor_pow2(2 ** 5000 - 1) == (4999, F(2 ** 4999))
+
+
+@pytest.mark.parametrize("v", [1, 2, 4, 2.0, 4.0, F(4), 3, F(5, 2), 3.0, F(2) - F(1, 2 ** 60),
+                               7.999999999999999, 1 + exact_sqrt(2), 8, F(19, 2)])
+def test_type_level_power_test_matches_exact_comparisons(v):
+    # below 2**3 every value must equal some 2**j' with j' <= 2
+    ok, why = is_type_level(StepFunction.constant(v), 2)
+    assert ok == (v >= 8 or any(v == 2 ** jp for jp in range(3)))
+    assert ok or "is not a power" in why

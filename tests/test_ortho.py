@@ -127,6 +127,14 @@ def test_menshov_rejects_non_orthogonal():
         menshov_bound_check([y1, y2])
 
 
+def test_menshov_rejects_a_tiny_inner_product():
+    # the inner product is exactly 10**-12, and it is decided exactly
+    y1 = OrthoVector.basis(0)
+    y2 = OrthoVector.basis(1) + F(1, 10 ** 12) * OrthoVector.basis(0)
+    with pytest.raises(ValueError, match="vectors 0 and 1 are not orthogonal"):
+        menshov_bound_check([y1, y2])
+
+
 def test_menshov_families():
     for k in (1, 2, 3):
         fam = phi_family(k, OrthoVector.basis(0))
@@ -176,7 +184,7 @@ def test_glue_blocks_single_block_degenerate():
         acc = acc + u
         vecs[F(m + 1, 3)] = acc
     X = OrthoProcess(list(vecs), vecs, mode="unit")
-    pp = ProductProcess([X], [1, 0])
+    pp = ProductProcess([maximal_function(X)], [1, 0])
     u, per = pp.oscillation_exceedance(1)
     assert per == [F(1, 3)]
     assert u == F(1, 3)
@@ -192,7 +200,7 @@ def test_glue_blocks_two_independent_copies():
             vecs[F(m + 1, 3)] = acc
         return OrthoProcess(list(vecs), vecs, mode="unit")
 
-    pp = ProductProcess([mk(), mk()], [1, F(1, 2), 0])
+    pp = ProductProcess([maximal_function(mk()), maximal_function(mk())], [1, F(1, 2), 0])
     union, per = pp.oscillation_exceedance(1)
     assert per == [F(1, 3), F(1, 3)]
     assert union == 1 - F(2, 3) ** 2  # = 5/9
@@ -201,10 +209,9 @@ def test_glue_blocks_two_independent_copies():
 def test_glue_blocks_budget_and_empty():
     with pytest.raises(ValueError):
         ProductProcess([], [1, 0])
-    chi = OrthoVector.basis(0)
-    X = OrthoProcess([0], {F(0): OrthoVector()}, mode="unit")
+    m = StepFunction.constant(0)
     with pytest.raises(ValueError):
-        ProductProcess([X] * 5, [1, F(4, 5), F(3, 5), F(2, 5), F(1, 5), 0])
+        ProductProcess([m] * 5, [1, F(4, 5), F(3, 5), F(2, 5), F(1, 5), 0])
 
 
 # -- the Gram kernel -----------------------------------------------------------

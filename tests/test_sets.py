@@ -12,7 +12,7 @@ from orthoconv.sets import (
     cantor_tail_norm_sq_oracle, continuity_verdict, generate,
     is_triadic_set, rho_sums,
 )
-from orthoconv.stepfn import StepFunction, grid_size, grid_width
+from orthoconv.stepfn import StepFunction, _Levels, grid_size, grid_width
 from orthoconv.vcalc import v_functional
 from orthoconv.suites import run_suite, random_triadic_set
 import random
@@ -385,3 +385,37 @@ def test_cantor_info_fn_matches_clipped_info_fn(depth, clip):
         lambda v: v if v <= clip else clip)
     assert (got.den, got.nums, got.values) == (want.den, want.nums, want.values)
     assert [type(v) for v in got.values] == [type(v) for v in want.values]
+
+
+# -- gap levels, decided by stepfn._Levels ------------------------------------
+# the two loops that is_triadic_set and generate ran before, kept as oracles
+
+def oracle_max_level(min_gap):
+    """First level whose cell width drops below the minimal gap, at most 21."""
+    i = 0
+    while grid_width(i) >= min_gap:
+        i += 1
+        if i > 20:
+            break
+    return i
+
+
+def oracle_generate_levels(r, den):
+    """The levels i >= 1 whose cells take a point at distance r / den."""
+    out = []
+    i = 1
+    while r * grid_size(i - 1) <= den:
+        out.append(i)
+        i += 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 2 ** 200), st.sampled_from([-1, 0, 1]),
+       st.integers(0, 2 ** 20))
+def test_gap_levels_match_the_loops_they_replaced(k, r, sign, offset):
+    # den within 2**-180 (relative) of r * 3**(2**k), when r is large
+    den = max(r, r * grid_size(k) + sign * offset)
+    level = _Levels(3)(r, den)
+    assert min(level + 1, 21) == oracle_max_level(F(r, den))
+    assert list(range(1, level + 2)) == oracle_generate_levels(r, den)

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from orthoconv.exactnum import exact_sqrt
 from orthoconv.stepfn import (
-    StepFunction, clip_min, cond_norm, grid_size,
+    StepFunction, _Levels, clip_min, cond_norm, grid_size,
     pointwise, pos_part,
 )
 
@@ -458,3 +458,20 @@ def test_sparse_type5_fn_matches_fraction_builder():
     for seed in range(200):
         got = _sparse_type5_fn(random.Random(seed))
         assert same_lattice(got, sparse_type5_oracle(random.Random(seed))), seed
+
+
+# -- exact levels of ratios ------------------------------------------------
+
+@given(st.sampled_from([2, 3]), st.integers(min_value=0, max_value=11),
+       st.integers(min_value=1, max_value=2 ** 260),
+       st.sampled_from([-1, 0, 1]), st.integers(min_value=0, max_value=2 ** 40),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_levels_match_fraction_comparisons(base, k, n, sign, offset, strict):
+    # den within 2**-200 (relative) of n * base**(2**k), when n is large
+    den = max(1, n * base ** 2 ** k + sign * offset)
+    ratio = F(den, n)
+    want = -1
+    while (ratio > base ** 2 ** (want + 1)) if strict else (ratio >= base ** 2 ** (want + 1)):
+        want += 1
+    assert _Levels(base)(n, den, strict) == want

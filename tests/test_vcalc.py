@@ -1,5 +1,6 @@
 """Contraction calculus: single levels, compositions, block selection."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -98,6 +99,47 @@ def test_stabilization_level():
     assert stabilization_level(StepFunction.constant(1)) == 0
     assert stabilization_level(StepFunction.constant(4)) == 2
     assert stabilization_level(StepFunction.constant(5)) == 3
+
+
+def float_log_stabilization_level(h):
+    """The float-log version that stabilization_level replaced, for values
+    inside the float range."""
+    top = h.max_value()
+    i = max(0, math.ceil(math.log2(max(float(top), 1.0))))
+    while not top <= 2 ** i:
+        i += 1
+    while i > 0 and top <= 2 ** (i - 1):
+        i -= 1
+    return i
+
+
+# values >= 0 inside the float range, many within 2**-200 of a power of two
+stabilization_values = st.one_of(
+    st.integers(0, 2 ** 1000),
+    st.builds(lambda j, s, m, q: F(2) ** j * (1 + s * F(m, 2 ** 200 * q)),
+              st.integers(-20, 1000), st.sampled_from([1, -1]), st.integers(0, 1),
+              st.integers(1, 2 ** 30)),
+    st.fractions(min_value=0, max_value=10 ** 6),
+    st.floats(min_value=0, max_value=2.0 ** 1000),
+    st.builds(lambda j, s, q, d: 2 ** j + s * F(1, 2 ** 200 * q) * exact_sqrt(d),
+              st.integers(0, 1000), st.sampled_from([1, -1]), st.integers(1, 2 ** 30),
+              st.sampled_from([2, 3, 5, 6])),
+)
+
+
+@given(stabilization_values, stabilization_values)
+@settings(max_examples=300, deadline=None)
+def test_stabilization_level_matches_float_log_version(a, b):
+    # the level is decided on the larger of two pieces, of any two value types
+    h = StepFunction([F(1, 3), F(1)], [a, b])
+    assert stabilization_level(h) == float_log_stabilization_level(h)
+
+
+def test_stabilization_level_beyond_the_float_range():
+    # float() of these values overflows; floor_log2 builds no grid
+    assert stabilization_level(StepFunction.constant(10 ** 400)) == 1329
+    assert stabilization_level(StepFunction.constant(F(2 ** 2000))) == 2000
+    assert stabilization_level(StepFunction.constant(F(2 ** 2000) + F(1, 3))) == 2001
 
 
 def test_vtrace_json():

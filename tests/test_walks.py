@@ -17,7 +17,7 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from orthoconv.criteria import _Levels, theorem_conditions
+from orthoconv.criteria import theorem_conditions
 from orthoconv.info import CoefficientSeq, info_fn, tail_set
 from orthoconv.stepfn import (
     StepFunction, _weighted_sum, clip_min, cond_norm, grid_size, grid_width, pos_part,
@@ -341,20 +341,3 @@ def test_near_boundary_inputs_match_exact_blocks():
         for indicator in "IH":
             assert report_bits(theorem_conditions(seq, indicator)) == \
                 report_bits(ref_theorem_conditions(seq, indicator))
-
-
-# -- exact levels ---------------------------------------------------------
-
-@given(st.sampled_from([2, 3]), st.integers(min_value=0, max_value=11),
-       st.integers(min_value=1, max_value=2 ** 260),
-       st.sampled_from([-1, 0, 1]), st.integers(min_value=0, max_value=2 ** 40),
-       st.booleans())
-@settings(max_examples=400, deadline=None)
-def test_levels_match_fraction_comparisons(base, k, n, sign, offset, strict):
-    # den within 2**-200 (relative) of n * base**(2**k), when n is large
-    den = max(1, n * base ** 2 ** k + sign * offset)
-    ratio = F(den, n)
-    want = -1
-    while (ratio > base ** 2 ** (want + 1)) if strict else (ratio >= base ** 2 ** (want + 1)):
-        want += 1
-    assert _Levels(base)(n, den, strict) == want
