@@ -1,7 +1,8 @@
 """Tour: closed time sets, the Cantor example, and window traces.
 
 For closed sets the information function takes the value m on each
-generation-m removed interval; truncations at depth d clip the rest.
+generation-m removed interval; the truncation at depth d gives the
+value d to the 2**d surviving intervals.
 The tail sums have exact closed forms, and the window traces of the
 contraction functional stabilize (geometrically decaying increments).
 
@@ -19,7 +20,7 @@ from orthoconv.sets import (
 print("=" * 70)
 print("Cantor information function at small depths")
 print("=" * 70)
-h3 = cantor_info_fn(3, clip=3)
+h3 = cantor_info_fn(3)
 print("depth 3:", h3)
 print("points at depth 3:", len(cantor_points(3)))
 

@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
     try:
         seq = _read_coefficients(args.input)
         notice = None
-        if not seq.is_normalized():
+        if seq.total != 1:
             try:
                 total = float(seq.total)
             except OverflowError:  # beyond the float range

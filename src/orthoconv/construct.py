@@ -137,7 +137,7 @@ def phi_family(k: int, chi: OrthoVector, window=(ZERO, ONE), scale=1):
         raise ValueError("bad window")
     if chi.norm_sq() != 1:
         raise ValueError("chi must be a unit vector")
-    if not _body_vanishes_on(chi, a, b):
+    if any(chi.body.restrict(a, b).values):
         raise ValueError("chi must vanish on the challenge window")
     w = b - a
     factor = scale / exact_sqrt(w)
@@ -170,15 +170,6 @@ def _phi_runs(n: int, k: int):
                 continue
             yield (base_prefix + d * span, span,
                    Fraction(3 ** l, 3 ** k) * hat_residue(d - nd[l - 1]))
-
-
-def _body_vanishes_on(v: OrthoVector, a, b) -> bool:
-    for lo, hi, val in v.body.pieces():
-        if val == 0:
-            continue
-        if hi > a and lo < b:
-            return False
-    return True
 
 
 def bernstein_check(k: int):
@@ -386,7 +377,9 @@ def trivial_cert(B: PointSet, lo, hi) -> ComplexityCert:
 
 
 def grid_cert(B: PointSet, lo, hi, k: int) -> ComplexityCert:
-    """Certificate from a full depth-k grid inside [lo, hi].
+    """Certificate from a full depth-k grid inside [lo, hi]: the depth-k
+    nest of the zero-threshold bridges over its 3**k cells (for k = 0,
+    the one bridge over [lo, hi]).
 
     Requires {lo + m (hi-lo) 3**-k} a subset of B.  Threshold
     y = 4 k sqrt(hi - lo); nominal failure fraction e**(-k/144) (for
@@ -394,42 +387,13 @@ def grid_cert(B: PointSet, lo, hi, k: int) -> ComplexityCert:
     is asymptotic and reported, never asserted).
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    length = hi - lo
-    cell = length / 3 ** k
+    cell = (hi - lo) / 3 ** k
     grid = [lo + m * cell for m in range(3 ** k + 1)]
     for g in grid:
         if g not in B:
             raise ValueError("grid point %s missing from the time set" % g)
-
-    def build(a, b, chi, alloc):
-        scale = 24 * exact_sqrt(length)
-        if b > a:
-            fam = phi_family(k, chi, window=(a, b), scale=scale)
-        elif k == 0:
-            fam = [(scale * exact_sqrt(Fraction(3))) * chi]
-        else:
-            raise ValueError("positive-threshold certificate challenged "
-                             "on an empty window")
-        vectors = {}
-        acc = OrthoVector()
-        pts = [Fraction(p) for p in B.restrict(lo, hi)]
-        for m in range(3 ** k):
-            cell_lo, cell_hi = grid[m], grid[m + 1]
-            vectors[cell_lo] = acc
-            inner = [p for p in pts if cell_lo < p < cell_hi]
-            if inner:
-                subs = [q - p for p, q in zip([cell_lo] + inner, inner + [cell_hi])]
-                parts = split_increment(fam[m], subs, alloc)
-                run = acc
-                for p, u in zip(inner, parts[:-1]):
-                    run = run + u
-                    vectors[p] = run
-            acc = acc + fam[m]
-        vectors[grid[-1]] = acc
-        return vectors
-
-    return ComplexityCert(B, [(lo, hi)], 16 * k * k * length, math.exp(-k / 144.0),
-                          "grid[k=%d]" % k, build, y=4 * k * exact_sqrt(length))
+    bridges = [trivial_cert(B, g0, g1) for g0, g1 in zip(grid, grid[1:])]
+    return nest(k, bridges) if k else bridges[0]
 
 
 def _rationalize_ratios(ratios):

@@ -103,14 +103,15 @@ def beta_condition(seq: CoefficientSeq) -> dict:
 
 
 def _slice_sums(terms) -> list:
-    """sum_n s_n z_n,i**2 for the slices i >= 1, in the order of the
-    terms, tuples that end in the weight s and z (index 0 unused).
+    """sum_n s_n z_n,i**2 for the slices i >= 0, in the order of the
+    terms, tuples that end in the weight s and z; slice 0 is z ^ 2.
 
-    A term adds to the slices below its top only, those with z > 2**i:
-    above it z_i = 0, and the additions skipped there are +0.0.
+    A term adds to the slices i >= 1 below its top only, those with
+    z > 2**i: above it z_i = 0, and the additions skipped there are +0.0.
     """
     sums = [0.0]
     for *_, s, z in terms:
+        sums[0] += s * min(z, 2.0) ** 2
         i, lo = 1, 2.0
         while z > lo:
             if i == len(sums):
@@ -130,12 +131,11 @@ def gamma_condition(seq: CoefficientSeq, slice_sums=None) -> dict:
     """
     if not seq.nonnegative():
         raise ValueError("the slice criterion assumes a_n >= 0")
-    nonzero = _nonzero_terms(seq)
     if slice_sums is None:
-        slice_sums = _slice_sums(nonzero)
+        slice_sums = _slice_sums(_nonzero_terms(seq))
     terms = {i: math.sqrt(tot) for i, tot in enumerate(slice_sums) if i and tot}
-    slice0 = math.sqrt(sum(s * min(z, 2.0) ** 2 for _, _, s, z in nonzero) or 0.0)
-    return {"terms": terms, "sum": sum(terms.values()), "slice0": slice0}
+    return {"terms": terms, "sum": sum(terms.values()),
+            "slice0": math.sqrt(slice_sums[0])}
 
 
 def sandwich_check(seq: CoefficientSeq, slice_sums=None) -> dict:
@@ -335,10 +335,7 @@ def measure_criterion(atom_probs) -> dict:
         raise ValueError("atom probabilities must sum to 1")
     weighted = [(float(p), -log_ratio(p.numerator, p.denominator) / math.log(3))
                 for p in probs]
-    tot = sum(s * min(h, 2.0) ** 2 for s, h in weighted)
-    terms = {0: math.sqrt(tot)} if tot else {}
-    terms.update((i, math.sqrt(tot))
-                 for i, tot in enumerate(_slice_sums(weighted)) if i and tot)
+    terms = {i: math.sqrt(tot) for i, tot in enumerate(_slice_sums(weighted)) if tot}
     return {"terms": terms, "sum": sum(terms.values())}
 
 

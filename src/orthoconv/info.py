@@ -137,9 +137,6 @@ class CoefficientSeq:
         out._set(total // g, [n // g for n in self.nums], True)
         return out
 
-    def is_normalized(self) -> bool:
-        return abs(self.total - 1) <= 1e-12
-
     def moduli_decreasing(self) -> bool:
         nums = self.nums
         return all(nums[i] >= nums[i + 1] for i in range(len(nums) - 1))
@@ -237,24 +234,18 @@ class PointSet:
 def tail_set(seq: CoefficientSeq) -> PointSet:
     """Tail sums of the squared coefficients, plus 0, normalized to sum 1.
 
-    The squares sit on their common denominator; the tails are then
-    integers over the total, already monotone, and zero coefficients
-    give repeated tails that are kept once.
+    The normalized squares sit on a reduced lattice over their sum; the
+    tails are then integers over it, already monotone and reduced, and
+    zero coefficients give repeated tails that are kept once.
     """
-    total = sum(seq.nums)
-    if total == 0:
-        raise ValueError("cannot normalize the zero sequence")
+    seq = seq.normalized()
     nums = [0]
     tail = 0
     for s in reversed(seq.nums):
         tail += s
         if tail != nums[-1]:
             nums.append(tail)
-    g = math.gcd(*nums)
-    if g > 1:
-        total //= g
-        nums = [n // g for n in nums]
-    return PointSet.from_lattice(total, nums)
+    return PointSet.from_lattice(seq.den, nums)
 
 
 def _gap_log_value(gap: int, den: int, base: int):
@@ -303,18 +294,16 @@ def cantor_points(depth: int) -> PointSet:
     return PointSet.from_lattice(den, [x for a in lefts for x in (a, a + width)])
 
 
-def cantor_info_fn(depth: int, clip) -> StepFunction:
+def cantor_info_fn(depth: int) -> StepFunction:
     """Depth-d truncation of the Cantor-set information function.
 
     Value m on each removed middle third of generation m <= depth, and
-    ``clip`` on the 2**d surviving intervals (standing in for all the
-    deeper, larger values); values above ``clip`` are clipped to it.
-    On the 3**d lattice a gap of width 3**(d-m) carries the value m, so
-    the values come from a table of d+1 widths.
+    d on the 2**d surviving intervals (standing in for all the deeper,
+    larger values).  On the 3**d lattice a gap of width 3**(d-m) carries
+    the value m, so the values come from a table of d+1 widths.
     """
     B = cantor_points(depth)
-    value = {3 ** (depth - m): m if m <= clip else clip
-             for m in range(depth + 1)}
+    value = {3 ** (depth - m): m for m in range(depth + 1)}
     nums = B.nums
     return StepFunction.from_lattice(B.den, nums[1:],
                                      [value[b - a] for a, b in zip(nums, nums[1:])])

@@ -460,20 +460,17 @@ class ProductProcess:
         self.maxima = list(maxima)
         self.cuts = cuts
 
-    def factor_max_event_measure(self, s, y):
-        """lambda(w_s : max over t of X_s(t)(w_s) >= y), bodies only."""
-        return self.maxima[s].measure_ge(y)
-
     def oscillation_exceedance(self, y):
         """Product measure of {some factor oscillates to >= y}.
 
-        Factors are independent, so the measure is
-        1 - prod_s (1 - lambda(factor-s event)).
+        Factors are independent, so the measure is 1 - prod_s (1 - p_s),
+        with p_s = lambda(w_s : max over t of X_s(t)(w_s) >= y), read from
+        the maximal function of factor s.
         """
         miss = Fraction(1)
         per_block = []
-        for s in range(len(self.maxima)):
-            p = self.factor_max_event_measure(s, y)
+        for m in self.maxima:
+            p = m.measure_ge(y)
             per_block.append(p)
             miss *= (1 - p)
         return 1 - miss, per_block

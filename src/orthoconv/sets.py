@@ -267,23 +267,18 @@ def continuity_verdict(B, t, window_sizes, depths=None) -> dict:
         raise ValueError("the time point must lie in [0, 1]")
     if any(w <= 0 for w in windows):
         raise ValueError("window half-widths must be positive")
-    is_cantor = isinstance(B, str) and B == "cantor"
-    if is_cantor:
-        depths = depths or [4, 6, 8]
+    if isinstance(B, str) and B == "cantor":
+        hs = [cantor_info_fn(d) for d in depths or [4, 6, 8]]
     else:
         if t not in B:
             raise ValueError("the time point must belong to the set")
-        depths = [None]
+        hs = [info_fn(B, base=3)]
     out = {"t": str(t), "windows": []}
     for wsize in windows:
         lo = max(ZERO, t - wsize)
         hi = min(ONE, t + wsize)
         trace = []
-        for d in depths:
-            if is_cantor:
-                h = cantor_info_fn(d, clip=d)
-            else:
-                h = info_fn(B, base=3)
+        for h in hs:
             hw = h.restrict(lo, hi) if (lo, hi) != (ZERO, ONE) else h
             hw = hw.maximum(StepFunction.indicator(lo, hi)) if lo < hi else hw
             val, _ = v_functional(hw)

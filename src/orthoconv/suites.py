@@ -724,9 +724,9 @@ def suite_cantor_tail(seed=0, count=13):
         if abs(float(integ - closed_i)) > 1e-15 * 20:
             viol += 1
         # direct finite-depth check: gaps of generation <= depth plus the
-        # clip value on the 2**depth surviving intervals
+        # value depth on the 2**depth surviving intervals
         depth = min(k + 6, 12)
-        hk = pos_part(cantor_info_fn(depth, clip=depth), k)
+        hk = pos_part(cantor_info_fn(depth), k)
         direct = float(hk.integral())
         trunc = sum(
             (Fraction((m - k) * 2 ** (m - 1), 3 ** m)

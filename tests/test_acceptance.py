@@ -135,7 +135,7 @@ def test_criterion_7b_cantor_l2_bound_as_stated():
     # (b) the library's own squared tail at depth d: gaps of generation
     # m <= d carry m, the 2**d survivors carry the clip value d
     d = 8
-    h = cantor_info_fn(d, clip=d)
+    h = cantor_info_fn(d)
     for k in (0, 3, 7):
         trunc = sum((F((m - k) ** 2 * 2 ** (m - 1), 3 ** m)
                      for m in range(k + 1, d + 1)), start=F(0))

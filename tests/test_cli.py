@@ -36,6 +36,16 @@ def test_analyze_csv_and_normalization_notice(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["notice"] is not None
     assert rep["tail_set"] == ["0", "1/3", "2/3", "1"]
+    # the notice is decided exactly: a sum within 1e-12 of 1 is rescaled too
+    for coeffs, notice, tail in (
+            (["1", "1/10000000"], "input squares summed to 1.00000000000001; normalized",
+             ["0", "1/100000000000001", "1"]),
+            (["3/5", "4/5"], None, ["0", "16/25", "1"])):
+        src = tmp_path / "coef.json"
+        src.write_text(json.dumps(coeffs))
+        assert run_cli(["analyze", str(src), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert (rep["notice"], rep["tail_set"]) == (notice, tail)
 
 
 def test_analyze_single_coefficient(tmp_path):
@@ -226,6 +236,22 @@ def test_cantor_command(tmp_path):
     rep = json.loads(out.read_text())
     tr = rep["windows"][0]["trace"]
     assert all(tr[i] <= tr[i + 1] + 1e-12 for i in range(len(tr) - 1))
+
+
+def test_cantor_builds_one_information_function_per_depth(tmp_path, monkeypatch):
+    # every window reads the same depth-d function
+    import orthoconv.sets as sets
+    build, calls = sets.cantor_info_fn, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sets, "cantor_info_fn", counted)
+    assert run_cli(["cantor", "--window", "1/3", "--window", "1/9",
+                    "--depth", "4", "--depth", "6",
+                    "--out", str(tmp_path / "cantor.json")]) == 0
+    assert calls == [4, 6]
 
 
 def test_measure_command(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from orthoconv.construct import (
-    TernaryContext, bernstein_check, build_divergent,
+    ComplexityCert, TernaryContext, bernstein_check, build_divergent,
     corollary_equal_blocks, corollary_union, digit_sum_fn, divergent_prefix,
     grid_cert, hat_residue, householder_family, merge, nest,
     phi_family, split_increment, trivial_cert,
@@ -119,6 +119,11 @@ def test_family_rejects_bad_chi():
         phi_family(1, body_chi)  # body meets the window
     with pytest.raises(ValueError):
         phi_family(8, unit_chi())
+    # a unit chi whose body (0, 1/2] meets the window, and one it only touches
+    half = OrthoVector(exact_sqrt(2) * StepFunction.indicator(0, F(1, 2)))
+    with pytest.raises(ValueError, match="vanish on the challenge window"):
+        phi_family(1, half, window=(F(1, 4), F(3, 4)))
+    assert len(phi_family(1, half, window=(F(1, 2), 1))) == 3
 
 
 def test_bernstein_examples():
@@ -223,6 +228,90 @@ def test_grid_cert_refines_extra_points():
     assert rep["final_value_ok"] and rep["membership_ok"]
     assert rep["gram_deviation"] == 0
     assert F(1, 6) in rep["process"].vectors
+
+
+def ref_grid_cert(B, lo, hi, k):
+    """grid_cert with its own witness builder, before it became the depth-k
+    nest of the bridges over its cells: the family is laid over the window
+    and each cell's increment is split at the points of B inside it."""
+    lo, hi = F(lo), F(hi)
+    length = hi - lo
+    cell = length / 3 ** k
+    grid = [lo + m * cell for m in range(3 ** k + 1)]
+    for g in grid:
+        if g not in B:
+            raise ValueError("grid point %s missing from the time set" % g)
+
+    def build(a, b, chi, alloc):
+        scale = 24 * exact_sqrt(length)
+        if b > a:
+            fam = phi_family(k, chi, window=(a, b), scale=scale)
+        elif k == 0:
+            fam = [(scale * exact_sqrt(F(3))) * chi]
+        else:
+            raise ValueError("positive-threshold certificate challenged "
+                             "on an empty window")
+        vectors = {}
+        acc = OrthoVector()
+        pts = [F(p) for p in B.restrict(lo, hi)]
+        for m in range(3 ** k):
+            cell_lo, cell_hi = grid[m], grid[m + 1]
+            vectors[cell_lo] = acc
+            inner = [p for p in pts if cell_lo < p < cell_hi]
+            if inner:
+                subs = [q - p for p, q in zip([cell_lo] + inner, inner + [cell_hi])]
+                parts = split_increment(fam[m], subs, alloc)
+                run = acc
+                for p, u in zip(inner, parts[:-1]):
+                    run = run + u
+                    vectors[p] = run
+            acc = acc + fam[m]
+        vectors[grid[-1]] = acc
+        return vectors
+
+    return ComplexityCert(B, [(lo, hi)], 16 * k * k * length, math.exp(-k / 144.0),
+                          "grid[k=%d]" % k, build, y=4 * k * exact_sqrt(length))
+
+
+def _same_value(a, b):
+    return type(a) is type(b) and a == b
+
+
+def _witness_json(cert, a, b, chi):
+    X = cert.witness(a, b, chi)
+    return X.times, [X.vectors[t].to_json() for t in X.times], X.carrier
+
+
+def test_grid_cert_is_the_nest_of_its_bridges():
+    # witnesses (times, bodies, external coordinates and their ids), y,
+    # y_sq, carriers and nominal eps match the builder of its own; at k = 0
+    # the bridge has no nominal eps where the builder reported a vacuous 1.0
+    def grid(lo, hi, k, extra):
+        cell = (hi - lo) / 3 ** k
+        return PointSet([0, 1] + [lo + m * cell for m in range(3 ** k + 1)] + extra)
+
+    windows = [(0, 1), (F(1, 3), F(2, 3)), (F(1, 9), F(1, 2))]
+    cases = []
+    for lo, hi in ((F(0), F(1)), (F(1, 4), F(3, 4))):
+        for k, extra in ((0, []), (0, [(3 * lo + hi) / 4]), (1, []),
+                         (1, [lo + (hi - lo) / 6, lo + (hi - lo) * 5 / 6]),
+                         (2, [lo + (hi - lo) / 18])):
+            cases.append((grid(lo, hi, k, extra), lo, hi, k))
+    for B, lo, hi, k in cases:
+        got, want = grid_cert(B, lo, hi, k), ref_grid_cert(B, lo, hi, k)
+        assert _same_value(got.y, want.y) and _same_value(got.y_sq, want.y_sq)
+        assert got.intervals == want.intervals
+        assert got.eps == (want.eps if k else None)
+        for chi in (unit_chi(0), unit_chi(5)):
+            for a, b in windows + ([(F(1, 2), F(1, 2))] if k == 0 else []):
+                assert _witness_json(got, a, b, chi) == _witness_json(want, a, b, chi)
+    # one level up: the two halves of [0, 1] merged
+    B = PointSet([F(n, 6) for n in range(7)] + [F(1, 12)])
+    got = merge([grid_cert(B, 0, F(1, 2), 1), grid_cert(B, F(1, 2), 1, 1)])
+    want = merge([ref_grid_cert(B, 0, F(1, 2), 1), ref_grid_cert(B, F(1, 2), 1, 1)])
+    assert _same_value(got.y_sq, want.y_sq) and got.eps == want.eps
+    for a, b in windows:
+        assert _witness_json(got, a, b, unit_chi(5)) == _witness_json(want, a, b, unit_chi(5))
 
 
 def test_example_process_final_value():

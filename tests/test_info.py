@@ -35,6 +35,53 @@ def test_tail_set_zero_coefficients_collapse():
     assert B.points == (F(0), F(1, 2), F(1))
 
 
+def oracle_tail_set(seq):
+    """(den, nums) of the tail set as built before it normalized through
+    ``CoefficientSeq.normalized``: tails over the raw total, reduced by
+    their gcd."""
+    total = sum(seq.nums)
+    if total == 0:
+        raise ValueError("cannot normalize the zero sequence")
+    nums = [0]
+    tail = 0
+    for s in reversed(seq.nums):
+        tail += s
+        if tail != nums[-1]:
+            nums.append(tail)
+    g = math.gcd(*nums)
+    if g > 1:
+        total //= g
+        nums = [n // g for n in nums]
+    return total, nums
+
+
+coefficients = st.lists(
+    st.one_of(st.just(0), st.integers(-3, 3),
+              st.fractions(min_value=-5, max_value=5, max_denominator=60),
+              st.floats(min_value=-2, max_value=2)),
+    min_size=1, max_size=12)
+sequences = st.one_of(
+    coefficients.map(CoefficientSeq),
+    coefficients.map(CoefficientSeq).filter(lambda s: any(s.nums)).map(
+        CoefficientSeq.normalized),
+    st.lists(st.one_of(st.just(0), st.fractions(min_value=0, max_value=3,
+                                                max_denominator=60)),
+             min_size=1, max_size=12).map(CoefficientSeq.from_squares))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences)
+def test_tail_set_matches_the_gcd_oracle(seq):
+    # the tails of a normalized sequence need no gcd: it is always 1
+    if not any(seq.nums):
+        for fn in (tail_set, oracle_tail_set):
+            with pytest.raises(ValueError, match="zero sequence"):
+                fn(seq)
+        return
+    B = tail_set(seq)
+    assert (B.den, list(B.nums)) == oracle_tail_set(seq)
+
+
 def test_tail_set_needs_nonempty():
     with pytest.raises(ValueError):
         CoefficientSeq([])
@@ -81,12 +128,12 @@ def test_info_fn_base2():
 
 
 def test_cantor_depth3_values():
-    h = cantor_info_fn(3, clip=3)
+    h = cantor_info_fn(3)
     # generation-m middle thirds carry the value m
     assert h.eval(F(1, 2)) == 1
     assert h.eval(F(1, 6)) == 2
     assert h.eval(F(1, 18)) == 3
-    # surviving intervals are clipped
+    # surviving intervals carry the depth
     assert h.eval(F(1, 27)) == 3
     assert cantor_points(3).points[0] == 0
 
