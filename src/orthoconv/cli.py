@@ -26,7 +26,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .construct import BUILD_MAX_LEVEL
+from .construct import BUILD_MAX_LEVEL, FAMILY_MAX_DEPTH
 from .exactnum import parse_rational, value_to_json
 from .info import CoefficientSeq, PointSet, info_fn, tail_set
 from .stepfn import grid_size
@@ -118,17 +118,16 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return EXIT_DATA
-    # one tail set serves the whole report
+    # the sequence keeps its tail set, so the criteria reuse this one
     B = tail_set(seq)
-    h = info_fn(B, base=3)
-    h1 = h.maximum(1)
-    value, trace = v_functional(h1)
     try:
         tail = B.to_json()
     except ValueError:  # Python refuses to print ints above its digit limit
         print("budget error: a tail-set point has more than %d digits, Python's limit "
               "for printing an integer" % sys.get_int_max_str_digits(), file=sys.stderr)
         return EXIT_DATA
+    h = info_fn(B, base=3)
+    value, trace = v_functional(h.maximum(1))
     report = {
         "command": "analyze",
         "flags": {"input": args.input, "indicator": args.indicator,
@@ -143,7 +142,7 @@ def cmd_analyze(args) -> int:
         "v_trace": trace.to_json(),
         "v_of_clipped_h": value,
         "clip_at_one": True,
-        "criteria": _jsonable(crit.full_report(seq, indicator=args.indicator, B=B)),
+        "criteria": _jsonable(crit.full_report(seq, indicator=args.indicator)),
     }
     return _dump(report, args.out)
 
@@ -162,8 +161,8 @@ def cmd_construct(args) -> int:
     from .construct import phi_family, build_divergent
     from .ortho import OrthoVector, gram_matrix
     if args.k is not None:
-        if not 0 <= args.k <= 7:
-            print("budget error: depth must be in 0..7", file=sys.stderr)
+        if not 0 <= args.k <= FAMILY_MAX_DEPTH:
+            print("budget error: depth must be in 0..%d" % FAMILY_MAX_DEPTH, file=sys.stderr)
             return EXIT_DATA
         chi = OrthoVector.basis(0)
         fam = phi_family(args.k, chi)

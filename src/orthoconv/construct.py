@@ -34,6 +34,7 @@ from .ortho import (
     IdAllocator,
     OrthoProcess,
     OrthoVector,
+    PRODUCT_MAX_FACTORS,
     ProductProcess,
     gram_check,
     maximal_function,
@@ -43,6 +44,7 @@ from .stepfn import StepFunction, format_lattice_point, grid_size, grid_width
 __all__ = [
     "TernaryContext",
     "hat_residue",
+    "FAMILY_MAX_DEPTH",
     "phi_family",
     "digit_sum_fn",
     "bernstein_check",
@@ -62,6 +64,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+FAMILY_MAX_DEPTH = 7  # depth budget of phi_family and ``construct --k``: 3**7 vectors
 
 
 def hat_residue(m: int) -> int:
@@ -130,8 +133,8 @@ def phi_family(k: int, chi: OrthoVector, window=(ZERO, ONE), scale=1):
     Sparse construction: vector n has one body run per (digit position,
     differing digit) pair, so at most 2k+1 body pieces.
     """
-    if k < 0 or k > 7:
-        raise ValueError("depth must be in 0..7 (3**k vectors)")
+    if not 0 <= k <= FAMILY_MAX_DEPTH:
+        raise ValueError("depth must be in 0..%d (3**k vectors)" % FAMILY_MAX_DEPTH)
     a, b = Fraction(window[0]), Fraction(window[1])
     if not ZERO <= a < b <= ONE:
         raise ValueError("bad window")
@@ -694,11 +697,11 @@ def divergent_prefix(block_sets, cuts) -> ProductProcess:
 
     Each entry of block_sets is a finite triadic PointSet in unit
     coordinates; its divergent process becomes one independent factor on
-    the corresponding time block (cuts strictly decreasing, at most 4
-    blocks), entering by the maximal function its build reports.  Returns
-    the glued product process.
+    the corresponding time block (cuts strictly decreasing, at most
+    ``PRODUCT_MAX_FACTORS`` blocks), entering by the maximal function its
+    build reports.  Returns the glued product process.
     """
-    if len(block_sets) > 4:
-        raise ValueError("product budget: at most 4 factors")
+    if len(block_sets) > PRODUCT_MAX_FACTORS:
+        raise ValueError("product budget: at most %d factors" % PRODUCT_MAX_FACTORS)
     maxima = [build_divergent(Bs)["report"]["maximal_function"] for Bs in block_sets]
     return ProductProcess(maxima, cuts)

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .exactnum import floor_log2, log_ratio
-from .info import CoefficientSeq, info_fn, tail_set
+from .info import CoefficientSeq, _slice_sums, info_fn, tail_set
 from .stepfn import _Levels, _rescale
 
 __all__ = [
@@ -68,14 +68,6 @@ def alpha_condition(seq: CoefficientSeq) -> float:
     return total
 
 
-def _nonzero_terms(seq: CoefficientSeq):
-    """(n, num, s, z) for every nonzero term a_n, in order: num / seq.den
-    the exact square, s its float and z the float -log2 |a_n|."""
-    return [(n, num, s, z) for n, (num, s, z) in
-            enumerate(zip(seq.nums, seq.square_floats(), seq.neg_log2_moduli()), start=1)
-            if num]
-
-
 def beta_condition(seq: CoefficientSeq) -> dict:
     """Block sums sum_i sqrt(sum over block i of a**2 log2(a)**2).
 
@@ -86,14 +78,13 @@ def beta_condition(seq: CoefficientSeq) -> dict:
     blocks = {}
     residual = []
     level = _Levels(2)
-    for n, num, s, _ in _nonzero_terms(seq):
+    for n, num, s, _ in seq.nonzero_terms():
         # 2**i < z <= 2**(i+1) exactly when 2**(i+1) < -log2(a**2) <= 2**(i+2)
         i = level(num, seq.den, strict=True) - 1
         if i < 1:
             residual.append(n)
             continue
-        blocks.setdefault(i, 0.0)
-        blocks[i] += s * _log2_sq(math.sqrt(s))
+        blocks[i] = blocks.get(i, 0.0) + s * _log2_sq(math.sqrt(s))
     terms = {i: math.sqrt(v) for i, v in sorted(blocks.items())}
     return {
         "terms": terms,
@@ -102,43 +93,20 @@ def beta_condition(seq: CoefficientSeq) -> dict:
     }
 
 
-def _slice_sums(terms) -> list:
-    """sum_n s_n z_n,i**2 for the slices i >= 0, in the order of the
-    terms, tuples that end in the weight s and z; slice 0 is z ^ 2.
-
-    A term adds to the slices i >= 1 below its top only, those with
-    z > 2**i: above it z_i = 0, and the additions skipped there are +0.0.
-    """
-    sums = [0.0]
-    for *_, s, z in terms:
-        sums[0] += s * min(z, 2.0) ** 2
-        i, lo = 1, 2.0
-        while z > lo:
-            if i == len(sums):
-                sums.append(0.0)
-            hi = 2 * lo
-            sums[i] += s * ((z if z < hi else hi) - lo) ** 2  # s * z_i**2
-            i, lo = i + 1, hi
-    return sums
-
-
-def gamma_condition(seq: CoefficientSeq, slice_sums=None) -> dict:
+def gamma_condition(seq: CoefficientSeq) -> dict:
     """Slice sums sum_{i>=1} sqrt(sum_n a_n**2 z_i**2) with z = -log2 a_n.
 
     Requires nonnegative coefficients; zero terms are skipped.  The i=0
-    slice is reported separately for transparency.  A caller that has
-    the slice sums of ``seq`` passes them in.
+    slice is reported separately for transparency.
     """
     if not seq.nonnegative():
         raise ValueError("the slice criterion assumes a_n >= 0")
-    if slice_sums is None:
-        slice_sums = _slice_sums(_nonzero_terms(seq))
-    terms = {i: math.sqrt(tot) for i, tot in enumerate(slice_sums) if i and tot}
-    return {"terms": terms, "sum": sum(terms.values()),
-            "slice0": math.sqrt(slice_sums[0])}
+    sums = seq.slice_sums()
+    terms = {i: math.sqrt(tot) for i, tot in enumerate(sums) if i and tot}
+    return {"terms": terms, "sum": sum(terms.values()), "slice0": math.sqrt(sums[0])}
 
 
-def sandwich_check(seq: CoefficientSeq, slice_sums=None) -> dict:
+def sandwich_check(seq: CoefficientSeq) -> dict:
     """Two-sided bounds tying the block form to the slice form.
 
     With u_i the indicator of {n : 2**i <= -log2 a_n < 2**(i+1)} in the
@@ -150,29 +118,23 @@ def sandwich_check(seq: CoefficientSeq, slice_sums=None) -> dict:
 
     and the chain B- <= A+ <= B+ holds along with A- <= slice sum <= A+
     and B- <= block sum <= B+ (block boundaries in the z convention,
-    upper-closed in |a|, decided exactly).  A caller that has the slice
-    sums of ``seq`` passes them in.
+    upper-closed in |a|, decided exactly).
     """
     if not seq.nonnegative():
         raise ValueError("assumes a_n >= 0")
     weights = {}   # i -> sum of a_n**2 over the i-th z-block, i >= 1
     beta_terms = {}
-    terms = _nonzero_terms(seq)
     level = _Levels(2)
-    for _, num, s, z in terms:
+    for _, num, s, z in seq.nonzero_terms():
         # 2**i <= z < 2**(i+1) exactly when 2**(i+1) <= -log2(a**2) < 2**(i+2)
         i = level(num, seq.den) - 1
         if i < 1:
             continue
-        weights.setdefault(i, 0.0)
-        weights[i] += s
-        beta_terms.setdefault(i, 0.0)
-        beta_terms[i] += s * z ** 2
+        weights[i] = weights.get(i, 0.0) + s
+        beta_terms[i] = beta_terms.get(i, 0.0) + s * z ** 2
     imax = max(weights) if weights else 0
-    if slice_sums is None:
-        slice_sums = _slice_sums(terms)
-    gamma_terms = {i: math.sqrt(slice_sums[i] if i < len(slice_sums) else 0.0)
-                   for i in range(1, imax + 1)}
+    sums = seq.slice_sums()
+    gamma_terms = {i: math.sqrt(sums[i] if i < len(sums) else 0.0) for i in range(1, imax + 1)}
     norm_sq = {i: weights.get(i, 0.0) for i in range(1, imax + 1)}
     tail = {}
     running = 0.0
@@ -217,7 +179,7 @@ def tandori_sum(seq: CoefficientSeq) -> dict:
     return {"terms": terms, "sum": sum(terms.values()), "below_blocks": below}
 
 
-def theorem_conditions(seq: CoefficientSeq, indicator: str = "I", B=None) -> dict:
+def theorem_conditions(seq: CoefficientSeq, indicator: str = "I") -> dict:
     """The three information-function criteria for the tail partition.
 
     Uses the base-2 information function J of the tail set:
@@ -225,8 +187,6 @@ def theorem_conditions(seq: CoefficientSeq, indicator: str = "I", B=None) -> dic
       beta1  = sum_{i>=1} ||J 1_(2**i <= X < 2**(i+1))||  with X = J
                (switch X to the base-3 function H via indicator='H'),
       gamma1 = sum_{i>=0} ||J_i|| over the standard slices.
-    A caller that has built the tail set B of ``seq`` passes it in, and it
-    is not rebuilt.
 
     One walk over the pieces of J, and the gaps of B inside them, gives
     all three.  The X-block of a gap g is decided exactly, on the
@@ -236,8 +196,7 @@ def theorem_conditions(seq: CoefficientSeq, indicator: str = "I", B=None) -> dic
     term of a sum is one run of equal values of those functions' canonical
     forms, in order.
     """
-    if B is None:
-        B = tail_set(seq)
+    B = tail_set(seq)
     J = info_fn(B, base=2)
     den, bn = B.den, B.nums
     level = _Levels(2 if indicator == "I" else 3)
@@ -339,24 +298,18 @@ def measure_criterion(atom_probs) -> dict:
     return {"terms": terms, "sum": sum(terms.values())}
 
 
-def full_report(seq: CoefficientSeq, indicator: str = "I", B=None) -> dict:
+def full_report(seq: CoefficientSeq, indicator: str = "I") -> dict:
     """All criteria bundled, as used by the analyze front end.
 
-    The criteria read the moduli of the normalized sequence.  B, the tail
-    set, is passed on to ``theorem_conditions``; the slice sums are
-    computed once, for ``gamma_condition`` and ``sandwich_check``.
+    The criteria read the moduli of the normalized sequence, which builds
+    its tail set, nonzero terms and slice sums once for all of them.
     """
     seq = seq.normalized()
-    slice_sums = _slice_sums(_nonzero_terms(seq))
-    report = {
+    return {
         "beta": beta_condition(seq),
-        "gamma": gamma_condition(seq, slice_sums),
-        "sandwich": sandwich_check(seq, slice_sums),
+        "gamma": gamma_condition(seq),
+        "sandwich": sandwich_check(seq),
         "tandori": tandori_sum(seq),
-        "information": theorem_conditions(seq, indicator=indicator, B=B),
+        "information": theorem_conditions(seq, indicator=indicator),
+        "alpha": alpha_condition(seq) if seq.moduli_decreasing() else None,
     }
-    if seq.moduli_decreasing():
-        report["alpha"] = alpha_condition(seq)
-    else:
-        report["alpha"] = None
-    return report

@@ -52,7 +52,9 @@ class CoefficientSeq:
     as floats, each ``n / den`` (correctly rounded, as ``float`` of the
     Fraction is).  The normalized form puts the numerators over their sum,
     so its squares sum to 1 exactly.  Whether every coefficient is
-    nonnegative is decided once, on the signed numerators.
+    nonnegative is decided once, on the signed numerators.  The normalized
+    form, the tail set, the nonzero terms and their slice sums are built
+    once, on first use, and kept.
     """
 
     def __init__(self, coeffs):
@@ -61,7 +63,9 @@ class CoefficientSeq:
             raise ValueError("empty coefficient sequence")
         # lcm(d_i)**2 = lcm(d_i**2), and it stays reduced for the squares
         den, nums = lattice_of(vals)
-        self._set(den * den, [n * n for n in nums], all(n >= 0 for n in nums))
+        # on a reduced lattice gcd(nums) is the gcd of the reduced numerators
+        g = math.gcd(*(v.numerator for v in vals))
+        self._set(den * den, [n * n for n in nums], all(n >= 0 for n in nums), g * g)
 
     @classmethod
     def from_squares(cls, squares):
@@ -72,17 +76,19 @@ class CoefficientSeq:
         if any(s < 0 for s in sq):
             raise ValueError("squares must be nonnegative")
         obj = cls.__new__(cls)
-        obj._set(*lattice_of(sq), True)
+        obj._set(*lattice_of(sq), True, math.gcd(*(s.numerator for s in sq)))
         obj._squares = tuple(sq)
         return obj
 
-    def _set(self, den, nums, nonneg):
+    def _set(self, den, nums, nonneg, num_gcd):
         self.den = den
         self.nums = tuple(nums)
+        self._sum = sum(self.nums)
         self._nonneg = nonneg
-        self._squares = None
-        self._floats = None
-        self._neg_log2 = None
+        self._num_gcd = num_gcd
+        # built on first use
+        self._squares = self._floats = self._neg_log2 = None
+        self._normal = self._tails = self._terms = self._slices = None
 
     @property
     def squares(self):
@@ -93,7 +99,7 @@ class CoefficientSeq:
 
     @property
     def total(self) -> Fraction:
-        return Fraction(sum(self.nums), self.den)
+        return Fraction(self._sum, self.den)
 
     def square_floats(self):
         if self._floats is None:
@@ -113,6 +119,22 @@ class CoefficientSeq:
                                    for n in self.nums)
         return self._neg_log2
 
+    def nonzero_terms(self) -> tuple:
+        """(n, num, s, z) for every nonzero term a_n, in order: num / den
+        the exact square, s its float and z the float -log2 |a_n|."""
+        if self._terms is None:
+            self._terms = tuple(
+                (n, num, s, z) for n, (num, s, z) in
+                enumerate(zip(self.nums, self.square_floats(), self.neg_log2_moduli()), start=1)
+                if num)
+        return self._terms
+
+    def slice_sums(self) -> tuple:
+        """The slice sums of the nonzero terms (see ``_slice_sums``)."""
+        if self._slices is None:
+            self._slices = tuple(_slice_sums(self.nonzero_terms()))
+        return self._slices
+
     def nonnegative(self) -> bool:
         """Whether every coefficient a_n >= 0."""
         return self._nonneg
@@ -126,16 +148,16 @@ class CoefficientSeq:
         The result's coefficients are the moduli |a_n|: every criterion
         reads the squares only, and the slice criteria need a_n >= 0.
         """
-        total = sum(self.nums)
-        if total == 0:
-            raise ValueError("cannot normalize the zero sequence")
-        if total == self.den and self.nonnegative():
+        if self._sum == self.den and self._nonneg:
             return self
-        # the gcd of the numerators divides their sum; after it the lattice is reduced
-        g = math.gcd(*self.nums)
-        out = CoefficientSeq.__new__(CoefficientSeq)
-        out._set(total // g, [n // g for n in self.nums], True)
-        return out
+        if self._normal is None:
+            if self._sum == 0:
+                raise ValueError("cannot normalize the zero sequence")
+            # the gcd of the numerators divides their sum; after it the lattice is reduced
+            g = self._num_gcd
+            self._normal = CoefficientSeq.__new__(CoefficientSeq)
+            self._normal._set(self._sum // g, [n // g for n in self.nums], True, 1)
+        return self._normal
 
     def moduli_decreasing(self) -> bool:
         nums = self.nums
@@ -236,16 +258,39 @@ def tail_set(seq: CoefficientSeq) -> PointSet:
 
     The normalized squares sit on a reduced lattice over their sum; the
     tails are then integers over it, already monotone and reduced, and
-    zero coefficients give repeated tails that are kept once.
+    zero coefficients give repeated tails that are kept once.  The set is
+    built once and kept on ``seq.normalized()``; later calls return it.
     """
     seq = seq.normalized()
-    nums = [0]
-    tail = 0
-    for s in reversed(seq.nums):
-        tail += s
-        if tail != nums[-1]:
-            nums.append(tail)
-    return PointSet.from_lattice(seq.den, nums)
+    if seq._tails is None:
+        nums = [0]
+        tail = 0
+        for s in reversed(seq.nums):
+            tail += s
+            if tail != nums[-1]:
+                nums.append(tail)
+        seq._tails = PointSet.from_lattice(seq.den, nums)
+    return seq._tails
+
+
+def _slice_sums(terms) -> list:
+    """sum_n s_n z_n,i**2 for the slices i >= 0, in the order of the
+    terms, tuples that end in the weight s and z; slice 0 is z ^ 2.
+
+    A term adds to the slices i >= 1 below its top only, those with
+    z > 2**i: above it z_i = 0, and the additions skipped there are +0.0.
+    """
+    sums = [0.0]
+    for *_, s, z in terms:
+        sums[0] += s * min(z, 2.0) ** 2
+        i, lo = 1, 2.0
+        while z > lo:
+            if i == len(sums):
+                sums.append(0.0)
+            hi = 2 * lo
+            sums[i] += s * ((z if z < hi else hi) - lo) ** 2  # s * z_i**2
+            i, lo = i + 1, hi
+    return sums
 
 
 def _gap_log_value(gap: int, den: int, base: int):

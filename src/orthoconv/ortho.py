@@ -37,10 +37,12 @@ __all__ = [
     "menshov_bound_check",
     "m_grid",
     "SIMPLE_FACTOR",
+    "PRODUCT_MAX_FACTORS",
 ]
 
 ZERO = Fraction(0)
 SIMPLE_FACTOR = 3 * 24 * 24  # increment normalization of simple processes
+PRODUCT_MAX_FACTORS = 4  # factor budget of ProductProcess and divergent_prefix
 
 
 class IdAllocator:
@@ -451,8 +453,8 @@ class ProductProcess:
     def __init__(self, maxima, cuts):
         if not maxima:
             raise ValueError("need at least one block")
-        if len(maxima) > 4:
-            raise ValueError("product budget: at most 4 factors")
+        if len(maxima) > PRODUCT_MAX_FACTORS:
+            raise ValueError("product budget: at most %d factors" % PRODUCT_MAX_FACTORS)
         cuts = [Fraction(c) for c in cuts]
         if len(cuts) != len(maxima) + 1 or any(
                 cuts[i] <= cuts[i + 1] for i in range(len(cuts) - 1)):

@@ -148,15 +148,13 @@ def _nearest_sum(xs, ys) -> int:
     return total
 
 
-def rho_sums(A: PointSet, generated: PointSet = None):
+def rho_sums(A: PointSet, generated: PointSet):
     """Exact distance sums between a set and its envelope.
 
     Returns (sum over the envelope of dist(., A), sum over A of
     dist(., envelope)); the first is at most 3 and the second at most 1.
     Both sets go on one common lattice and are merged in linear time.
     """
-    if generated is None:
-        generated = generate(A).generated
     den = math.lcm(A.den, generated.den)
     a = [n * (den // A.den) for n in A.nums]
     g = [n * (den // generated.den) for n in generated.nums]

@@ -527,7 +527,7 @@ def test_analyze_negative_coefficients_report_on_moduli(signed, moduli, tmp_path
 def test_analyze_builds_one_tail_set_and_one_base3_function(indicator, tmp_path, monkeypatch):
     import orthoconv.cli as cli
     import orthoconv.criteria as crit
-    calls = []
+    calls, tails = [], []
 
     def counted(fn, label):
         def wrapper(*args, **kwargs):
@@ -535,15 +535,55 @@ def test_analyze_builds_one_tail_set_and_one_base3_function(indicator, tmp_path,
             return fn(*args, **kwargs)
         return wrapper
 
+    def kept(fn):
+        def wrapper(seq):
+            tails.append(fn(seq))
+            return tails[-1]
+        return wrapper
+
     for mod in (cli, crit):
-        monkeypatch.setattr(mod, "tail_set", counted(mod.tail_set, lambda seq: "tail_set"))
+        monkeypatch.setattr(mod, "tail_set", kept(mod.tail_set))
         monkeypatch.setattr(mod, "info_fn", counted(
             mod.info_fn, lambda B, base=3: "info_fn base %d" % base))
     src = tmp_path / "in.json"
     src.write_text('["1/2", "1/3", "1/4", "1/5"]')
     assert run_cli(["analyze", str(src), "--indicator", indicator,
                     "--out", str(tmp_path / "rep.json")]) == 0
-    assert sorted(calls) == ["info_fn base 2", "info_fn base 3", "tail_set"]
+    assert sorted(calls) == ["info_fn base 2", "info_fn base 3"]
+    # every reader gets the one tail set the sequence keeps
+    assert tails and all(B is tails[0] for B in tails)
+
+
+def test_analyze_derives_each_object_of_the_sequence_once(tmp_path, monkeypatch):
+    # one normalized sequence, one tail set, one nonzero-term list and one
+    # list of slice sums per run, for signed, unnormalized and normalized input
+    import orthoconv.cli as cli
+    import orthoconv.criteria as crit
+    from orthoconv.info import CoefficientSeq
+    made = {}
+
+    def kept(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            made.setdefault(name, []).append(fn(*args))
+            return made[name][-1]
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("normalized", "nonzero_terms", "slice_sums"):
+        kept(CoefficientSeq, name)
+    kept(cli, "tail_set")
+    kept(crit, "tail_set")
+    src = tmp_path / "in.json"
+    for coeffs in (["-3/5", "4/5"], ["1/2", "-1/3", "0", "1/4"], ["3/5", "4/5"]):
+        src.write_text(json.dumps(coeffs))
+        for indicator in ("I", "H"):
+            made.clear()
+            assert run_cli(["analyze", str(src), "--indicator", indicator,
+                            "--out", str(tmp_path / "rep.json")]) == 0
+            # the lists keep every result alive, so equal ids are one object
+            assert {name: len({id(x) for x in out}) for name, out in made.items()} == {
+                "normalized": 1, "tail_set": 1, "nonzero_terms": 1, "slice_sums": 1}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -581,6 +621,21 @@ def test_analyze_tail_set_beyond_int_digit_limit_is_budget_error(tmp_path, capsy
     assert len(err) == 1 and err[0].startswith("budget error:")
     assert str(sys.get_int_max_str_digits()) in err[0]
     assert not out.exists()
+
+
+def test_analyze_checks_the_digit_budget_before_the_v_trace(tmp_path, capsys, monkeypatch):
+    import orthoconv.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the V trace ran before the tail set was printed")
+
+    monkeypatch.setattr(cli, "v_functional", refuse)
+    src = tmp_path / "in.json"
+    src.write_text('["1/%d", "1"]' % (10 ** 2200 + 1))
+    assert run_cli(["analyze", str(src), "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["budget error: a tail-set point has more than %d digits, Python's limit "
+                   "for printing an integer" % sys.get_int_max_str_digits()]
 
 
 @pytest.mark.parametrize("argv, slow", [

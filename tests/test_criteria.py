@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orthoconv.criteria import (
-    alpha_condition, beta_condition, full_report, gamma_condition,
+    alpha_condition, beta_condition, gamma_condition,
     measure_criterion, rm_weyl, sandwich_check, tandori_sum, theorem_conditions,
 )
 from orthoconv.exactnum import log_ratio
@@ -519,14 +519,6 @@ def test_neg_log2_below_float_range_reads_the_reduced_square():
     seq = CoefficientSeq.from_squares(sq)
     assert (seq.den, seq.nums[0]) == (30 * d, 3)
     check_against_oracle(seq, sq)
-
-
-def test_full_report_reuses_a_given_tail_set():
-    seq = seq_from_squares([F(1, 2), F(1, 8), F(1, 8), F(1, 4)])
-    B = tail_set(seq)
-    for indicator in ("I", "H"):
-        want = full_report(seq, indicator=indicator)
-        assert full_report(seq, indicator=indicator, B=B) == want
 
 
 # -- block membership decided on the integers ------------------------------

@@ -82,6 +82,38 @@ def test_tail_set_matches_the_gcd_oracle(seq):
     assert (B.den, list(B.nums)) == oracle_tail_set(seq)
 
 
+def oracle_normalized(seq):
+    """(den, nums) of the normalized sequence, reduced by the gcd taken
+    over the whole lattice."""
+    g = math.gcd(*seq.nums)
+    return sum(seq.nums) // g, [n // g for n in seq.nums]
+
+
+tiny = st.one_of(st.sampled_from([F("1e-200"), F("-1e-200"), F("3e-150"), F("-7e-101")]),
+                 st.floats(min_value=1e-200, max_value=1e-100),
+                 st.floats(min_value=-1e-100, max_value=-1e-200))
+tiny_sequences = st.one_of(
+    st.lists(st.one_of(st.just(0), st.integers(-3, 3), tiny), min_size=1, max_size=8).map(
+        CoefficientSeq),
+    st.lists(st.one_of(st.just(0), tiny.map(abs)), min_size=1, max_size=8).map(
+        CoefficientSeq.from_squares))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sequences, tiny_sequences))
+def test_normalized_matches_the_lattice_gcd_oracle(seq):
+    # the gcd of the lattice numerators is taken from the reduced
+    # numerators: gcd(p_i)**2 for coefficients, gcd(p_i) for squares
+    if not any(seq.nums):
+        with pytest.raises(ValueError, match="zero sequence"):
+            seq.normalized()
+        return
+    norm = seq.normalized()
+    assert (norm.den, list(norm.nums)) == oracle_normalized(seq)
+    assert norm.total == 1 and norm.nonnegative()
+    assert seq.normalized() is norm and norm.normalized() is norm
+
+
 def test_tail_set_needs_nonempty():
     with pytest.raises(ValueError):
         CoefficientSeq([])
