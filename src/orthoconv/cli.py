@@ -12,8 +12,10 @@ Commands:
 
 All outputs are JSON with sorted keys, so identical inputs and flags
 produce byte-identical files.  Exit codes: 0 ok, 1 usage error, 2 data
-error, 3 a failed check: a verification suite, a build's exact checks,
-or a ``--k`` family whose exact ``gram_deviation`` is not 0.
+or budget error, 3 a failed check: a verification suite, a build's exact
+checks, or a ``--k`` family whose exact ``gram_deviation`` is not 0.
+Each command returns its report and exit code, or raises; ``main`` alone
+writes the report or the one refusal line.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .construct import BUILD_MAX_LEVEL, FAMILY_MAX_DEPTH
+from .construct import BUILD_MAX_LEVEL, FAMILY_MAX_DEPTH, build_divergent, phi_family
 from .exactnum import parse_rational, value_to_json
 from .info import CoefficientSeq, PointSet, info_fn, tail_set
+from .ortho import OrthoVector, gram_matrix
 from .stepfn import grid_size
 from .vcalc import v_functional
 from . import criteria as crit
@@ -49,33 +52,45 @@ CANTOR_MAX_DEPTH = 20
 GRID_LEVELS = "%s or %d" % (", ".join(map(str, range(BUILD_MAX_LEVEL))), BUILD_MAX_LEVEL)
 
 
-def _read_coefficients(path: str) -> CoefficientSeq:
+class BudgetError(ValueError):
+    """An input refused under a stated budget: exit 2, ``budget error:``."""
+
+
+class UsageError(Exception):
+    """A flag value that argparse does not check: exit 1, ``usage error:``."""
+
+
+def _read_values(path: str, key: str, noun: str) -> list:
+    """The values in a file: a JSON list, a ``{key: [...]}`` object, or CSV
+    with one value per line.  A file of any other form raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    text = text.strip()
+        text = fh.read().strip()
     if not text:
-        raise ValueError("empty coefficient file")
-    if text.startswith("[") or text.startswith("{"):
+        raise ValueError("empty %s file" % noun)
+    if not text.startswith(("[", "{")):
+        return [v for v in map(str.strip, text.splitlines()) if v]
+    try:
         data = json.loads(text)
-        if isinstance(data, dict):
-            data = data["coefficients"]
-        if not isinstance(data, list):
-            raise ValueError("coefficients must be a JSON list")
-        return CoefficientSeq(data)
-    # CSV, one value per line
-    vals = [line.strip() for line in text.splitlines() if line.strip()]
-    return CoefficientSeq(vals)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if isinstance(data, dict):
+        if key not in data:
+            raise ValueError(repr(key))
+        data = data[key]
+    if not isinstance(data, list):
+        raise ValueError("%s must be a JSON list" % key)
+    return data
 
 
-def _out_error(out_path):
-    """The OSError that writing a report to out_path would meet, or None.
+def _check_out(out_path):
+    """Raise the OSError that writing a report to out_path would meet.
 
     Decided before any work, without creating or truncating the file: an
     existing file must be writable, and a new one needs a writable
     directory.  stdout ("-") and /dev/null are writable.
     """
-    if out_path in (None, "-"):
-        return None
+    if out_path == "-":
+        return
     if os.path.isdir(out_path):
         code = errno.EISDIR
     elif os.path.exists(out_path):
@@ -86,46 +101,27 @@ def _out_error(out_path):
             code = errno.ENOENT
         else:
             code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
-    return None if code is None else OSError(code, os.strerror(code), out_path)
+    if code is not None:
+        raise OSError(code, os.strerror(code), out_path)
 
 
-def _dump(obj, out_path) -> int:
-    """Write the report; EXIT_DATA with one line when out_path cannot be written."""
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    if out_path in (None, "-"):
-        sys.stdout.write(text + "\n")
-        return EXIT_OK
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as e:
-        print("data error: %s" % e, file=sys.stderr)
-        return EXIT_DATA
-    return EXIT_OK
-
-
-def cmd_analyze(args) -> int:
-    try:
-        seq = _read_coefficients(args.input)
-        notice = None
-        if seq.total != 1:
-            try:
-                total = float(seq.total)
-            except OverflowError:  # beyond the float range
-                total = math.inf
-            notice = "input squares summed to %s; normalized" % total
-            seq = seq.normalized()
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        print("data error: %s" % e, file=sys.stderr)
-        return EXIT_DATA
+def cmd_analyze(args):
+    seq = CoefficientSeq(_read_values(args.input, "coefficients", "coefficient"))
+    notice = None
+    if seq.total != 1:
+        try:
+            total = float(seq.total)
+        except OverflowError:  # beyond the float range
+            total = math.inf
+        notice = "input squares summed to %s; normalized" % total
+        seq = seq.normalized()
     # the sequence keeps its tail set, so the criteria reuse this one
     B = tail_set(seq)
     try:
         tail = B.to_json()
     except ValueError:  # Python refuses to print ints above its digit limit
-        print("budget error: a tail-set point has more than %d digits, Python's limit "
-              "for printing an integer" % sys.get_int_max_str_digits(), file=sys.stderr)
-        return EXIT_DATA
+        raise BudgetError("a tail-set point has more than %d digits, Python's limit "
+                          "for printing an integer" % sys.get_int_max_str_digits()) from None
     h = info_fn(B, base=3)
     value, trace = v_functional(h.maximum(1))
     report = {
@@ -144,7 +140,7 @@ def cmd_analyze(args) -> int:
         "clip_at_one": True,
         "criteria": _jsonable(crit.full_report(seq, indicator=args.indicator)),
     }
-    return _dump(report, args.out)
+    return report, EXIT_OK
 
 
 def _jsonable(x):
@@ -157,15 +153,11 @@ def _jsonable(x):
     return value_to_json(x)  # exact strings for Fraction and RootSum
 
 
-def cmd_construct(args) -> int:
-    from .construct import phi_family, build_divergent
-    from .ortho import OrthoVector, gram_matrix
+def cmd_construct(args):
     if args.k is not None:
         if not 0 <= args.k <= FAMILY_MAX_DEPTH:
-            print("budget error: depth must be in 0..%d" % FAMILY_MAX_DEPTH, file=sys.stderr)
-            return EXIT_DATA
-        chi = OrthoVector.basis(0)
-        fam = phi_family(args.k, chi)
+            raise BudgetError("depth must be in 0..%d" % FAMILY_MAX_DEPTH)
+        fam = phi_family(args.k, OrthoVector.basis(0))
         norm_sq = Fraction(3, 3 ** args.k)
         gram = [[None] * len(fam) for _ in fam]
         deviation = Fraction(0)
@@ -188,106 +180,76 @@ def cmd_construct(args) -> int:
             "gram_deviation": _jsonable(deviation),
             "vectors": [v.to_json() for v in fam] if args.full else None,
         }
-        return _dump(report, args.out) or (EXIT_OK if deviation == 0 else EXIT_ASSERT)
-    if args.b is not None or args.grid is not None:
-        try:
-            thresholds = [parse_rational(y) for y in (args.y or [])]
-            if args.grid is not None:
-                if not 0 <= args.grid <= BUILD_MAX_LEVEL:
-                    raise ValueError("grid level must be %s" % GRID_LEVELS)
-                size = grid_size(args.grid)
-                B = PointSet.from_lattice(size, range(size + 1))
-            else:
-                B = PointSet([parse_rational(p) for p in args.b.split(",")])
-            out = build_divergent(B)
-        except ValueError as e:
-            print("data error: %s" % e, file=sys.stderr)
-            return EXIT_DATA
-        rep = out["report"]
-        m = rep["maximal_function"]
-        report = {
-            "command": "construct",
-            "flags": {"b": args.b, "grid": args.grid, "y": args.y,
-                      "seed": args.seed},
-            "achieved_y": out["achieved_y"],
-            "steps": out["steps"],
-            "gram_deviation": _jsonable(rep["gram_deviation"]),
-            "final_value_ok": rep["final_value_ok"],
-            "membership_ok": rep["membership_ok"],
-            "achieved_eps": rep["achieved_eps"],
-            "exceedance_at_achieved_y": _jsonable(rep["good_measure"]),
-            "times": [str(t) for t in rep["process"].times],
-            "process": rep["process"].to_json() if args.full else None,
-        }
-        if thresholds:
-            report["exceedance_table"] = [
-                {"y": _jsonable(y),
-                 "measure_ge": _jsonable(m.measure_ge(y)),
-                 "measure_gt": _jsonable(m.measure_gt(y))}
-                for y in thresholds]
-        ok = (rep["final_value_ok"] and rep["membership_ok"]
-              and rep["gram_deviation"] == 0)
-        return _dump(report, args.out) or (EXIT_OK if ok else EXIT_ASSERT)
-    print("usage error: construct needs --k or --b/--grid", file=sys.stderr)
-    return EXIT_USAGE
+        return report, EXIT_OK if deviation == 0 else EXIT_ASSERT
+    thresholds = [parse_rational(y) for y in args.y or ()]
+    if args.grid is not None:
+        if not 0 <= args.grid <= BUILD_MAX_LEVEL:
+            raise ValueError("grid level must be %s" % GRID_LEVELS)
+        size = grid_size(args.grid)
+        B = PointSet.from_lattice(size, range(size + 1))
+    else:
+        B = PointSet([parse_rational(p) for p in args.b.split(",")])
+    out = build_divergent(B)
+    rep = out["report"]
+    m = rep["maximal_function"]
+    report = {
+        "command": "construct",
+        "flags": {"b": args.b, "grid": args.grid, "y": args.y,
+                  "seed": args.seed},
+        "achieved_y": out["achieved_y"],
+        "steps": out["steps"],
+        "gram_deviation": _jsonable(rep["gram_deviation"]),
+        "final_value_ok": rep["final_value_ok"],
+        "membership_ok": rep["membership_ok"],
+        "achieved_eps": rep["achieved_eps"],
+        "exceedance_at_achieved_y": _jsonable(rep["good_measure"]),
+        "times": [str(t) for t in rep["process"].times],
+        "process": rep["process"].to_json() if args.full else None,
+    }
+    if thresholds:
+        report["exceedance_table"] = [
+            {"y": _jsonable(y),
+             "measure_ge": _jsonable(m.measure_ge(y)),
+             "measure_gt": _jsonable(m.measure_gt(y))}
+            for y in thresholds]
+    ok = (rep["final_value_ok"] and rep["membership_ok"]
+          and rep["gram_deviation"] == 0)
+    return report, EXIT_OK if ok else EXIT_ASSERT
 
 
-def cmd_verify(args) -> int:
-    names = args.suite if args.suite else None
+def cmd_verify(args):
     if args.count is not None and args.count <= 0:
-        print("usage error: --count must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        out = run_suites(names, seed=args.seed, count=args.count)
-    except KeyError as e:
-        print("usage error: unknown suite %s (known: %s)"
-              % (e, ", ".join(sorted(SUITES))), file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--count must be positive")
+    out = run_suites(args.suite, seed=args.seed, count=args.count)
     out["command"] = "verify"
     out["flags"] = {"seed": args.seed, "count": args.count,
                     "suite": args.suite or sorted(SUITES)}
-    for r in out["results"]:
-        r.pop("trace", None)
-        r.pop("details", None)
-    return _dump(out, args.out) or (EXIT_OK if out["passed"] else EXIT_ASSERT)
+    return out, EXIT_OK if out["passed"] else EXIT_ASSERT
 
 
-def cmd_cantor(args) -> int:
+def cmd_cantor(args):
     if any(not 0 <= d <= CANTOR_MAX_DEPTH for d in args.depth or ()):
-        print("budget error: depth must be in 0..%d" % CANTOR_MAX_DEPTH, file=sys.stderr)
-        return EXIT_DATA
-    try:
-        report = continuity_verdict("cantor", parse_rational(args.t),
-                                    [parse_rational(w) for w in args.window],
-                                    depths=args.depth)
-    except ValueError as e:
-        print("data error: %s" % e, file=sys.stderr)
-        return EXIT_DATA
+        raise BudgetError("depth must be in 0..%d" % CANTOR_MAX_DEPTH)
+    window = args.window or ["1/3"]
+    report = continuity_verdict("cantor", parse_rational(args.t),
+                                [parse_rational(w) for w in window],
+                                depths=args.depth)
     report["command"] = "cantor"
-    report["flags"] = {"t": args.t, "window": args.window, "depth": args.depth,
+    report["flags"] = {"t": args.t, "window": window, "depth": args.depth,
                        "seed": args.seed}
-    return _dump(report, args.out)
+    return report, EXIT_OK
 
 
-def cmd_measure(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict):
-            data = data["probabilities"]
-        if not isinstance(data, list):
-            raise ValueError("probabilities must be a JSON list")
-        out = crit.measure_criterion([parse_rational(p) for p in data])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        print("data error: %s" % e, file=sys.stderr)
-        return EXIT_DATA
+def cmd_measure(args):
+    probs = _read_values(args.input, "probabilities", "probability")
+    out = crit.measure_criterion([parse_rational(p) for p in probs])
     report = {
         "command": "measure",
         "flags": {"input": args.input, "seed": args.seed},
         "slice_norms": {str(k): v for k, v in out["terms"].items()},
         "criterion_sum": out["sum"],
     }
-    return _dump(report, args.out)
+    return report, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,10 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(fn=cmd_analyze)
 
     pc = sub.add_parser("construct", parents=[common], help="family dump or divergent process")
-    pc.add_argument("--k", type=int, default=None, help="generator-family depth")
-    pc.add_argument("--b", default=None, help="comma-separated triadic point set")
-    pc.add_argument("--grid", type=int, default=None,
-                    help="full grid at level %s" % GRID_LEVELS)
+    mode = pc.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=int, help="generator-family depth")
+    mode.add_argument("--b", help="comma-separated triadic point set")
+    mode.add_argument("--grid", type=int, help="full grid at level %s" % GRID_LEVELS)
     pc.add_argument("--y", action="append", default=None,
                     help="report threshold (repeatable)")
     pc.add_argument("--full", action="store_true",
@@ -320,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_construct)
 
     pv = sub.add_parser("verify", parents=[common], help="run verification suites")
-    pv.add_argument("--suite", action="append", default=None,
-                    help="suite name (repeatable; default all)")
+    pv.add_argument("--suite", action="append", choices=sorted(SUITES), metavar="SUITE",
+                    help="suite name, one of %(choices)s (repeatable; default all)")
     pv.add_argument("--count", type=int, default=None,
                     help="instance count of each suite, except %s, which run "
                          "a fixed set" % ", ".join(FIXED_SUITES))
@@ -350,13 +312,25 @@ def main(argv=None) -> int:
     if not getattr(args, "fn", None):
         parser.print_help()
         return EXIT_USAGE
-    err = _out_error(args.out)
-    if err is not None:
-        print("data error: %s" % err, file=sys.stderr)
+    try:
+        _check_out(args.out)
+        report, code = args.fn(args)
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except UsageError as e:
+        print("usage error: %s" % e, file=sys.stderr)
+        return EXIT_USAGE
+    except BudgetError as e:
+        print("budget error: %s" % e, file=sys.stderr)
         return EXIT_DATA
-    if getattr(args, "window", None) is None and args.command == "cantor":
-        args.window = ["1/3"]
-    return args.fn(args)
+    except (OSError, ValueError) as e:
+        print("data error: %s" % e, file=sys.stderr)
+        return EXIT_DATA
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -80,8 +81,25 @@ def _atom(d: int) -> int:
 # -- the multiquadratic field ----------------------------------------------
 
 
+def _terms_of(x):
+    """(squarefree key, rational coefficient) pairs of an exact value, with
+    sum of q * sqrt(d) equal to x; None for a float or any other type."""
+    t = type(x)
+    if t is int or t is Fraction:
+        return ((1, x),) if x else ()
+    if t is RootSum:
+        return x.terms.items()
+    return None
+
+
+def _key_product(d1: int, d2: int):
+    """(d, g) with sqrt(d1) * sqrt(d2) = g * sqrt(d), for squarefree keys."""
+    g = math.gcd(d1, d2)
+    return (d1 // g) * (d2 // g), g
+
+
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two coefficient maps, sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g**2)."""
+    """Product of two coefficient maps, key by key as in :func:`_key_product`."""
     out = {}
     for d1, q1 in a.items():
         for d2, q2 in b.items():
@@ -92,8 +110,8 @@ def _mul_terms(a: dict, b: dict) -> dict:
             elif d1 == d2:
                 d, c = 1, q1 * q2 * d1
             else:
-                g = math.gcd(d1, d2)
-                d, c = (d1 // g) * (d2 // g), q1 * q2 * g
+                d, g = _key_product(d1, d2)
+                c = q1 * q2 * g
             out[d] = out.get(d, 0) + c
     return out
 
@@ -108,9 +126,17 @@ def _add_terms(a: dict, b: dict, sign: int = 1) -> dict:
 def _from_terms(terms: dict):
     """Canonical value of a coefficient map: a Fraction when rational."""
     terms = {d: q for d, q in terms.items() if q}
-    if not terms or (len(terms) == 1 and 1 in terms):
-        return Fraction(terms.get(1, 0))
+    if not terms:
+        return ZERO
+    if len(terms) == 1 and 1 in terms:
+        return Fraction(terms[1])
     return RootSum._new(terms)
+
+
+def _from_int_terms(nums: dict, den: int):
+    """The value sum of nums[d] / den * sqrt(d), for int numerators."""
+    terms = {d: Fraction(n, den) for d, n in nums.items() if n}
+    return _from_terms(terms) if terms else ZERO  # most Gram entries are 0
 
 
 def _split(terms: dict, p: int):
@@ -491,14 +517,27 @@ def parse_rational(s) -> Fraction:
     """Parse 'p/q', decimal strings, ints or floats into an exact Fraction.
 
     Raises ValueError for anything that is not a finite rational, a bool,
-    a zero denominator or an infinite float included.
+    a zero denominator or an infinite float included.  A decimal exponent
+    whose absolute value is above Python's digit limit for integer strings
+    (``sys.get_int_max_str_digits()``, no limit when 0) is refused too:
+    its power of ten would take minutes to build.
     """
     if isinstance(s, Fraction):
         return s
     if isinstance(s, bool):
         raise ValueError("%r is not a rational" % (s,))
+    if isinstance(s, (int, float)):
+        text = s
+    else:
+        text = str(s).strip()
+        if "e" in text or "E" in text:
+            limit = sys.get_int_max_str_digits()
+            exp = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+            if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) > limit):
+                raise ValueError("%r has a decimal exponent above %d, Python's limit "
+                                 "for integer strings" % (s, limit))
     try:
-        return Fraction(s) if isinstance(s, (int, float)) else Fraction(str(s).strip())
+        return Fraction(text)
     except (ZeroDivisionError, OverflowError):
         raise ValueError("%r is not a finite rational" % (s,)) from None
 

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .exactnum import RootSum, exact_sqrt, value_to_json
+from .exactnum import _from_int_terms, _key_product, _terms_of, exact_sqrt, value_to_json
 from .info import PointSet
 from .stepfn import StepFunction, grid_size, grid_width
 
@@ -192,35 +192,6 @@ class OrthoProcess:
         }
 
 
-def _parts(x):
-    """(squarefree key, rational coefficient) pairs of an exact value, with
-    sum of q * sqrt(d) equal to x; None for a float or any other type."""
-    t = type(x)
-    if t is int or t is Fraction:
-        return ((1, x),) if x else ()
-    if t is RootSum:
-        return x.terms.items()
-    return None
-
-
-def _key_product(d1: int, d2: int):
-    """(d, g) with sqrt(d1) * sqrt(d2) = g * sqrt(d), for squarefree keys."""
-    g = math.gcd(d1, d2)
-    return (d1 // g) * (d2 // g), g
-
-
-def _entry(acc: dict, den: int):
-    """The value sum of acc[d] / den * sqrt(d): a Fraction when rational."""
-    rational = acc.pop(1, 0)
-    q = Fraction(rational, den) if rational else ZERO
-    terms = {d: Fraction(s, den) for d, s in acc.items() if s}
-    if not terms:
-        return q
-    if rational:
-        terms[1] = q
-    return RootSum._new(terms)
-
-
 def gram_matrix(vectors):
     """Upper triangle of the Gram matrix, one row at a time.
 
@@ -240,8 +211,8 @@ def gram_matrix(vectors):
     vectors = list(vectors)
     bodies, exts = [], []
     for v in vectors:
-        body = [_parts(a) for a in v.body.values]
-        ext = [(i, _parts(c)) for i, c in v.ext.items()]
+        body = [_terms_of(a) for a in v.body.values]
+        ext = [(i, _terms_of(c)) for i, c in v.ext.items()]
         if any(p is None for p in body) or any(p is None for _, p in ext):
             for i, u in enumerate(vectors):
                 yield [u.inner(w) for w in vectors[i:]]
@@ -309,7 +280,7 @@ def gram_matrix(vectors):
                     if s:
                         d, g = _key_product(d1, d2)
                         acc[d] = acc.get(d, 0) + g * D * s
-            row.append(_entry(acc, den))
+            row.append(_from_int_terms(acc, den))
         yield row
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from fractions import Fraction as F
 
@@ -277,8 +278,9 @@ def _measure_error(tmp_path, capsys, text):
 
 
 def test_measure_scalar_input_is_data_error(tmp_path, capsys):
+    # a bare value is a CSV file of one line, as for analyze
     rc, err = _measure_error(tmp_path, capsys, "5")
-    assert rc == 2 and err == ["data error: probabilities must be a JSON list"]
+    assert rc == 2 and err == ["data error: atom probabilities must sum to 1"]
 
 
 def test_measure_scalar_probabilities_is_data_error(tmp_path, capsys):
@@ -328,8 +330,8 @@ def test_family_gram_deviation_is_zero(k, tmp_path):
 @pytest.mark.parametrize("i, j, delta", [(0, 0, F(1, 81)), (2, 5, F(-2, 7)),
                                          (1, 3, exact_sqrt(3) / 10 ** 400)])
 def test_family_with_a_wrong_gram_entry_fails(i, j, delta, tmp_path, monkeypatch):
-    import orthoconv.ortho as ortho
-    gram_matrix = ortho.gram_matrix
+    import orthoconv.cli as cli
+    gram_matrix = cli.gram_matrix
 
     def corrupted(vectors):
         vectors = list(vectors)
@@ -338,7 +340,7 @@ def test_family_with_a_wrong_gram_entry_fails(i, j, delta, tmp_path, monkeypatch
                 row[j - i] += delta
             yield row
 
-    monkeypatch.setattr(ortho, "gram_matrix", corrupted)
+    monkeypatch.setattr(cli, "gram_matrix", corrupted)
     out = tmp_path / "f.json"
     assert run_cli(["construct", "--k", "2", "--out", str(out)]) == 3
     rep = json.loads(out.read_text())
@@ -447,6 +449,68 @@ def test_zero_denominator_in_file_is_data_error(command, tmp_path, capsys):
     src = tmp_path / "in.json"
     src.write_text('["1/0"]')
     assert _data_error([command, str(src)], capsys)
+
+
+@pytest.mark.parametrize("command", ["analyze", "measure"])
+def test_nested_brackets_file_is_data_error(command, tmp_path, capsys):
+    # deeper than json's recursion limit: one line, not a RecursionError
+    src = tmp_path / "nested.json"
+    src.write_text("[" * 100000 + "]" * 100000)
+    assert _data_error([command, str(src)], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "IN"],
+    ["measure", "IN"],
+    ["construct", "--b", "0,1e-10000000,1"],
+    ["construct", "--grid", "0", "--y", "1e-10000000"],
+    ["cantor", "--t", "1e-10000000"],
+    ["cantor", "--window", "1e-10000000"],
+])
+def test_exponent_above_the_digit_limit_is_data_error(argv, tmp_path, capsys):
+    # the exponent is refused as the value is read; 10**10000000 is never built
+    src = tmp_path / "in.json"
+    src.write_text('["1e-10000000", "1"]')
+    t0 = time.perf_counter()
+    assert _data_error([str(src) if a == "IN" else a for a in argv], capsys)
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("command, key", [("analyze", "coefficients"),
+                                          ("measure", "probabilities")])
+def test_object_without_the_key_is_data_error(command, key, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text('{"values": ["1"]}')
+    assert run_cli([command, str(src)]) == 2
+    assert capsys.readouterr().err == "data error: '%s'\n" % key
+
+
+def test_measure_reads_csv(tmp_path):
+    # one reader for both commands: CSV with one value per line
+    reports = []
+    for name, text in (("p.json", '["1/2", "1/4", "1/4"]'), ("p.csv", "1/2\n1/4\n\n1/4\n")):
+        src, out = tmp_path / name, tmp_path / (name + ".out")
+        src.write_text(text)
+        assert run_cli(["measure", str(src), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["flags"].pop("input") == str(src)
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("mode", [["--k", "2", "--b", "0,1/3,2/3,1"],
+                                  ["--grid", "1", "--b", "0,1/3,2/3,1"],
+                                  ["--k", "2", "--grid", "1"]])
+def test_construct_modes_are_exclusive(mode, monkeypatch):
+    # a second mode was silently ignored: --k won over --b, --grid over --b
+    import orthoconv.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a construct mode ran")
+
+    monkeypatch.setattr(cli, "phi_family", refuse)
+    monkeypatch.setattr(cli, "build_divergent", refuse)
+    assert run_cli(["construct"] + mode) == 1
 
 
 @pytest.mark.parametrize("y", ["1/0", "nan"])
@@ -640,7 +704,7 @@ def test_analyze_checks_the_digit_budget_before_the_v_trace(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("argv, slow", [
     (["analyze", "IN"], "orthoconv.cli.tail_set"),
-    (["construct", "--k", "6"], "orthoconv.construct.phi_family"),
+    (["construct", "--k", "6"], "orthoconv.cli.phi_family"),
     (["verify", "--seed", "0"], "orthoconv.cli.run_suites"),
 ])
 def test_unwritable_out_fails_before_any_work(argv, slow, tmp_path, capsys, monkeypatch):

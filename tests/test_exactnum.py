@@ -1,6 +1,8 @@
 """Exact multiquadratic numbers (RootSum) against a sympy oracle."""
 
 import math
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -274,6 +276,29 @@ def test_parse_rational_refuses_non_finite_input():
     for bad in ("1/0", "nan", "inf", float("inf"), float("nan"), "x"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_rational_refuses_an_exponent_above_the_digit_limit():
+    # the limit Python puts on integer strings, in either sign of exponent;
+    # 10**10000000 would take minutes to build
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e-%d" % limit, "1E+%d" % limit, "2.5e%d" % limit, "1e-000%d" % limit):
+        assert parse_rational(text) > 0
+    for text in ("1e-%d" % (limit + 1), "1E%d" % (limit + 1), "-3.5e+10000000",
+                 "1e-10_000_000", "1e-" + "9" * 20000):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="above %d" % limit):
+            parse_rational(text)
+        assert time.perf_counter() - t0 < 0.5
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_rational("1e640") == 10 ** 640
+        with pytest.raises(ValueError, match="above 640"):
+            parse_rational("1e-641")
+        sys.set_int_max_str_digits(0)  # no limit, no exponent check
+        assert parse_rational("1e-5000") == F(1, 10 ** 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- the fused inner product -------------------------------------------------
