@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .construct import BUILD_MAX_LEVEL, FAMILY_MAX_DEPTH, build_divergent, phi_family
-from .exactnum import parse_rational, value_to_json
+from .exactnum import echo, format_rational, parse_rational, value_to_json
 from .info import CoefficientSeq, PointSet, info_fn, tail_set
 from .ortho import OrthoVector, gram_matrix
 from .stepfn import grid_size
@@ -80,6 +81,19 @@ def _read_values(path: str, key: str, noun: str) -> list:
     if not isinstance(data, list):
         raise ValueError("%s must be a JSON list" % key)
     return data
+
+
+def _printable(text: str):
+    """The rational of a flag value that the report prints back.  A value
+    with more digits than Python prints in its numerator or denominator
+    is refused, named, before any work."""
+    value = parse_rational(text)
+    try:
+        format_rational(value)
+    except ValueError:  # Python refuses to print ints above its digit limit
+        raise ValueError("%s has more than %d digits, Python's limit for printing "
+                         "an integer" % (echo(text), sys.get_int_max_str_digits())) from None
+    return value
 
 
 def _check_out(out_path):
@@ -181,7 +195,7 @@ def cmd_construct(args):
             "vectors": [v.to_json() for v in fam] if args.full else None,
         }
         return report, EXIT_OK if deviation == 0 else EXIT_ASSERT
-    thresholds = [parse_rational(y) for y in args.y or ()]
+    thresholds = [_printable(y) for y in args.y or ()]
     if args.grid is not None:
         if not 0 <= args.grid <= BUILD_MAX_LEVEL:
             raise ValueError("grid level must be %s" % GRID_LEVELS)
@@ -231,8 +245,8 @@ def cmd_cantor(args):
     if any(not 0 <= d <= CANTOR_MAX_DEPTH for d in args.depth or ()):
         raise BudgetError("depth must be in 0..%d" % CANTOR_MAX_DEPTH)
     window = args.window or ["1/3"]
-    report = continuity_verdict("cantor", parse_rational(args.t),
-                                [parse_rational(w) for w in window],
+    report = continuity_verdict("cantor", _printable(args.t),
+                                [_printable(w) for w in window],
                                 depths=args.depth)
     report["command"] = "cantor"
     report["flags"] = {"t": args.t, "window": window, "depth": args.depth,
@@ -252,7 +266,13 @@ def cmd_measure(args):
     return report, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after.
+
+    Parsing leaves no state in it: every call fills a new namespace, and
+    the repeatable flags default to None, so each call makes its own list.
+    """
     p = argparse.ArgumentParser(
         prog="orthoconv",
         description="information-function calculus for orthogonal series")

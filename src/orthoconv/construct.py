@@ -28,7 +28,7 @@ import bisect
 import math
 from fractions import Fraction
 
-from .exactnum import RootSum, exact_sqrt, sqrt_float
+from .exactnum import RootSum, echo, exact_sqrt, sqrt_float
 from .info import PointSet, info_fn, dyadic_floor
 from .ortho import (
     IdAllocator,
@@ -39,7 +39,7 @@ from .ortho import (
     gram_check,
     maximal_function,
 )
-from .stepfn import StepFunction, format_lattice_point, grid_size, grid_width
+from .stepfn import StepFunction, format_lattice, grid_size, grid_width
 
 __all__ = [
     "TernaryContext",
@@ -604,12 +604,12 @@ def build_divergent(B: PointSet) -> dict:
     from .vcalc import select_blocks
     ok, witness_bad = is_triadic_set(B)
     if not ok:
-        raise ValueError("time set is not triadic: %r" % (witness_bad,))
+        raise ValueError("time set is not triadic: %s" % echo(witness_bad))
     size = grid_size(BUILD_MAX_LEVEL)
     for n in B.nums:
         if n * size % B.den:
             raise ValueError("level budget exceeded: %s is finer than level %d"
-                             % (format_lattice_point(n, B.den), BUILD_MAX_LEVEL))
+                             % (format_lattice(B.den, [n])[0], BUILD_MAX_LEVEL))
     h = info_fn(B, base=3).maximum(1)
     hu = dyadic_floor(h)
     steps = []

@@ -28,6 +28,7 @@ __all__ = [
     "sqrt_float",
     "floor_log2",
     "log_ratio",
+    "echo",
     "parse_rational",
     "format_rational",
     "value_to_json",
@@ -513,6 +514,19 @@ def _compare(a, b) -> int:
     return (a > b) - (a < b)
 
 
+ECHO_CHARS = 60
+
+
+def echo(value) -> str:
+    """``repr(value)`` for an error message; past ECHO_CHARS characters, its
+    first ECHO_CHARS characters and the length of the value's text."""
+    r = repr(value)
+    if len(r) <= ECHO_CHARS:
+        return r
+    n = len(value) if isinstance(value, str) else len(str(value))
+    return "%s... (%d characters)" % (r[:ECHO_CHARS], n)
+
+
 def parse_rational(s) -> Fraction:
     """Parse 'p/q', decimal strings, ints or floats into an exact Fraction.
 
@@ -520,26 +534,40 @@ def parse_rational(s) -> Fraction:
     a zero denominator or an infinite float included.  A decimal exponent
     whose absolute value is above Python's digit limit for integer strings
     (``sys.get_int_max_str_digits()``, no limit when 0) is refused too:
-    its power of ten would take minutes to build.
+    its power of ten would take minutes to build.  A message shows the
+    value through :func:`echo`.
     """
     if isinstance(s, Fraction):
         return s
     if isinstance(s, bool):
-        raise ValueError("%r is not a rational" % (s,))
+        raise ValueError("%s is not a rational" % echo(s))
     if isinstance(s, (int, float)):
         text = s
     else:
         text = str(s).strip()
+        if text.isascii():
+            # ASCII digits, or ASCII digits "/" ASCII digits, read as two
+            # ints; every other form goes through Fraction's parser
+            num, slash, den = text.partition("/")
+            if num.isdigit() and (not slash or den.isdigit()):
+                n = int(num)
+                d = int(den) if slash else 1
+                if d:
+                    return Fraction(n, d)
         if "e" in text or "E" in text:
             limit = sys.get_int_max_str_digits()
             exp = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
             if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) > limit):
-                raise ValueError("%r has a decimal exponent above %d, Python's limit "
-                                 "for integer strings" % (s, limit))
+                raise ValueError("%s has a decimal exponent above %d, Python's limit "
+                                 "for integer strings" % (echo(s), limit))
     try:
         return Fraction(text)
     except (ZeroDivisionError, OverflowError):
-        raise ValueError("%r is not a finite rational" % (s,)) from None
+        raise ValueError("%s is not a finite rational" % echo(s)) from None
+    except ValueError as e:
+        if str(e).startswith("Invalid literal"):  # Fraction's message, capped
+            raise ValueError("Invalid literal for Fraction: %s" % echo(text)) from None
+        raise
 
 
 def format_rational(fr: Fraction) -> str:

@@ -17,8 +17,7 @@ import math
 from fractions import Fraction
 
 from .exactnum import floor_log2, format_rational, log_ratio, parse_rational
-from .stepfn import (StepFunction, format_lattice_point, grid_size, grid_width,
-                     lattice_of)
+from .stepfn import StepFunction, format_lattice, grid_size, grid_width, lattice_of
 
 __all__ = [
     "CoefficientSeq",
@@ -61,11 +60,15 @@ class CoefficientSeq:
         vals = [parse_rational(c) for c in coeffs]
         if not vals:
             raise ValueError("empty coefficient sequence")
-        # lcm(d_i)**2 = lcm(d_i**2), and it stays reduced for the squares
-        den, nums = lattice_of(vals)
+        # lcm(q_i)**2 = lcm(q_i**2), and it stays reduced for the squares.
+        # The square (p/q)**2 sits on it as p*p * (den2 // (q*q)): one
+        # division of the wide den2 by a small int, where squaring the
+        # lattice numerator p * (den // q) would multiply two wide ints.
+        den2 = math.lcm(*(v.denominator for v in vals)) ** 2
+        nums = [v.numerator ** 2 * (den2 // v.denominator ** 2) for v in vals]
         # on a reduced lattice gcd(nums) is the gcd of the reduced numerators
         g = math.gcd(*(v.numerator for v in vals))
-        self._set(den * den, [n * n for n in nums], all(n >= 0 for n in nums), g * g)
+        self._set(den2, nums, all(v.numerator >= 0 for v in vals), g * g)
 
     @classmethod
     def from_squares(cls, squares):
@@ -156,7 +159,8 @@ class CoefficientSeq:
             # the gcd of the numerators divides their sum; after it the lattice is reduced
             g = self._num_gcd
             self._normal = CoefficientSeq.__new__(CoefficientSeq)
-            self._normal._set(self._sum // g, [n // g for n in self.nums], True, 1)
+            nums = self.nums if g == 1 else [n // g for n in self.nums]
+            self._normal._set(self._sum // g, nums, True, 1)
         return self._normal
 
     def moduli_decreasing(self) -> bool:
@@ -245,8 +249,7 @@ class PointSet:
         return tuple(p for p in self.points if lo <= p <= hi)
 
     def to_json(self):
-        den = self.den
-        return [format_lattice_point(n, den) for n in self.nums]
+        return format_lattice(self.den, self.nums)
 
     @classmethod
     def from_json(cls, data):
@@ -413,7 +416,7 @@ def is_type_level(h: StepFunction, j: int):
     for n in h.nums[:-1]:
         if (n * size) % h.den:
             return False, "not constant on level-%d cells (breakpoint %s)" % (
-                j + 1, format_lattice_point(n, h.den))
+                j + 1, format_lattice(h.den, [n])[0])
     limit = 2 ** (j + 1)
     for v in h.values:
         # h >= 1, so a value below the limit is in a band 2**j' with j' <= j

@@ -17,7 +17,7 @@ are integer operations; a binary operation on two denominators rescales
 both to their lcm once.  ``Fraction`` breakpoints are built only at the
 API boundary (:attr:`StepFunction.breakpoints`, on first access).  Point
 sets (``info.PointSet``) share this form, including 0 as numerator 0;
-:func:`lattice_of` and :func:`format_lattice_point` are its helpers.
+:func:`lattice_of` and :func:`format_lattice` are its helpers.
 
 The conditional L2 norm over the level-i triadic grid (cells of width
 3**-(2**i)) is computed sparsely: runs of cells interior to a single
@@ -109,12 +109,22 @@ def lattice_of(points):
     return den, [p.numerator * (den // p.denominator) for p in points]
 
 
-def format_lattice_point(n: int, den: int) -> str:
-    """``format_rational(Fraction(n, den))`` without building the Fraction."""
-    g = math.gcd(n, den)
-    if g == den:
-        return str(n // g)
-    return "%d/%d" % (n // g, den // g)
+def format_lattice(den: int, nums) -> list:
+    """``[format_rational(Fraction(n, den)) for n in nums]`` without
+    building the Fractions.
+
+    Each point takes one gcd; the points of a lattice share few values of
+    it, so each reduced denominator ``den // g`` is printed once.
+    """
+    tails = {}  # g -> "/den//g", or "" for an integer point
+    out = []
+    for n in nums:
+        g = math.gcd(n, den)
+        tail = tails.get(g)
+        if tail is None:
+            tail = tails[g] = "" if g == den else "/%d" % (den // g)
+        out.append("%d%s" % (n // g, tail))
+    return out
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -499,7 +509,7 @@ class StepFunction:
 
     def to_json(self) -> dict:
         return {
-            "breakpoints": [format_lattice_point(n, self.den) for n in self.nums],
+            "breakpoints": format_lattice(self.den, self.nums),
             "values": [value_to_json(v) for v in self.values],
         }
 

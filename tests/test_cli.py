@@ -149,8 +149,15 @@ def test_construct_points_process(tmp_path):
     assert rep["achieved_y"] == pytest.approx(4.0)
 
 
-def test_construct_invalid_points_is_data_error(tmp_path):
+def test_construct_invalid_points_is_data_error(capsys):
     assert run_cli(["construct", "--b", "0,1/2,1"]) == 2
+    assert capsys.readouterr().err == (
+        "data error: time set is not triadic: ('missing-base', Fraction(1, 3))\n")
+    # a witness built from a long input point is echoed by its first characters
+    assert run_cli(["construct", "--b", "0,1/%d,1/3,2/3,1" % 3 ** 300]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: time set is not triadic: ('unpaired', Fraction(1, 1368")
+    assert err.endswith("... (171 characters)\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -659,6 +666,68 @@ def test_analyze_derives_each_object_of_the_sequence_once(tmp_path, monkeypatch)
 def test_argparse_exit_codes(argv, code, capsys):
     # argparse's own exit code for a usage error is 2, the data-error code
     assert run_cli(argv) == code
+
+
+@pytest.mark.parametrize("calls, codes", [
+    ([["construct", "--grid", "0", "--y", "1"], ["construct", "--grid", "0"]], [0, 0]),
+    ([["verify", "--suite", "sandwich", "--count", "1"], ["verify", "--count", "1"]], [0, 0]),
+    ([["cantor", "--window", "1/9", "--window", "1/3"], ["cantor"]], [0, 0]),
+    ([["analyze", "--bogus"], ["analyze", "IN"]], [1, 0]),
+])
+def test_calls_in_one_process_match_calls_alone(calls, codes, tmp_path, capsys, monkeypatch):
+    # the parser is built once per process and shared: no flag value of one
+    # call may reach the next (the second call of each pair leaves out a
+    # repeatable flag, or follows a usage error)
+    import subprocess
+    import orthoconv
+    from orthoconv import cli
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orthoconv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    (tmp_path / "in.json").write_text('["1/2", "1/3", "1/4"]')
+    calls = [[str(tmp_path / "in.json") if a == "IN" else a for a in argv] for argv in calls]
+    alone = []
+    for argv in calls:
+        r = subprocess.run([sys.executable, "-m", "orthoconv.cli"] + argv, env=env,
+                           capture_output=True, text=True)
+        alone.append((r.returncode, r.stdout, r.stderr))
+    assert [code for code, _, _ in alone] == codes
+    cli.build_parser.cache_clear()
+    together = []
+    for argv in calls:
+        code = run_cli(argv)
+        together.append((code,) + tuple(capsys.readouterr()))
+    assert together == alone
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["cantor", "--t", "1e-4300"], "'1e-4300'"),
+    (["cantor", "--window", "1e-4300"], "'1e-4300'"),
+    (["construct", "--grid", "0", "--y", "1e-4300"], "'1e-4300'"),
+    (["construct", "--grid", "0", "--y", "1e4300"], "'1e4300'"),
+])
+def test_value_no_report_can_print_is_named(argv, name, capsys):
+    # 10**4300 passes the exponent budget but has 4301 digits, more than
+    # Python prints; the line names the flag value, not a Python setting
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        "data error: %s has more than %d digits, Python's limit for printing an "
+        "integer\n" % (name, sys.get_int_max_str_digits()))
+
+
+@pytest.mark.parametrize("command", ["analyze", "measure"])
+@pytest.mark.parametrize("text", ["x" * 10000 + "\n", "[" * 900 + "]" * 900,
+                                  '["' + "1" * 300 + '/0"]'],
+                         ids=["csv-line", "nested-brackets", "zero-denominator"])
+def test_data_error_line_echoes_a_capped_value(command, text, tmp_path, capsys):
+    # a long value shows as its first characters and its length
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    assert run_cli([command, str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert len(err) <= 200 and "characters)" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orthoconv.exactnum import (
-    RootSum, _srepr_term, exact_sqrt, floor_log2, parse_rational, sqrt_float,
+    ECHO_CHARS, RootSum, _srepr_term, echo, exact_sqrt, floor_log2, parse_rational, sqrt_float,
     value_from_json, value_to_json,
 )
 from orthoconv.stepfn import StepFunction, _weighted_sum
@@ -276,6 +276,60 @@ def test_parse_rational_refuses_non_finite_input():
     for bad in ("1/0", "nan", "inf", float("inf"), float("nan"), "x"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def fraction_oracle(text):
+    """What ``Fraction`` gives for the stripped text through parse_rational's
+    refusals: the value, or the error type and message, with a zero
+    denominator read as not finite and a long invalid literal echoed by its
+    first characters."""
+    try:
+        return F(text.strip())
+    except ZeroDivisionError:
+        return ValueError, "%s is not a finite rational" % echo(text)
+    except ValueError as e:
+        if str(e).startswith("Invalid literal"):
+            return ValueError, "Invalid literal for Fraction: %s" % echo(text.strip())
+        return ValueError, str(e)
+
+
+def _parsed(text):
+    try:
+        return parse_rational(text)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+ascii_digits = st.text("0123456789", min_size=1, max_size=8)
+rational_texts = st.one_of(
+    ascii_digits, st.builds("%s/%s".__mod__, st.tuples(ascii_digits, ascii_digits)),
+    st.builds("".join, st.lists(st.sampled_from(
+        ["0", "1", "7", "00", "/", "_", "+", "-", " ", "\t", "\n", ".", "e",
+         "\u0660", "\u0663", "\u0669", "\u00b2"]), min_size=1, max_size=10)),
+    st.sampled_from(["1/0", "0/0", "000/000", "12/0", " 1/0 ", "1_000/3", "+1/3", "-0",
+                     "\u0661/\u0663", "1/\u0663", "1.5", "1/-3", "1/+3", "/3", "3/", ""]),
+    st.builds(lambda n, d: n + d, st.sampled_from(["9" * 5000, "1" + "0" * 4999]),
+              st.sampled_from(["", "/3", "/" + "7" * 5000, "/0", "x"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_texts)
+def test_parse_rational_matches_fraction(text):
+    # ASCII digits and "p/q" of ASCII digits are read by two int()s; the
+    # value, or the error and its message, is Fraction's
+    assert _parsed(text) == fraction_oracle(text)
+
+
+def test_echo_cuts_long_values_to_their_first_characters():
+    assert echo("1/3") == "'1/3'" and echo(2.5) == "2.5"
+    long = "x" * 10000
+    assert echo(long) == "%s... (10000 characters)" % repr(long)[:ECHO_CHARS]
+    nested = [[[1]]] * 40
+    assert echo(nested) == "%s... (%d characters)" % (repr(nested)[:ECHO_CHARS], len(str(nested)))
+    for value in (long, "1" * 300 + "/0", long + "e99999", True):
+        with pytest.raises(ValueError) as err:
+            parse_rational(value)
+        assert len(str(err.value)) < 180
 
 
 def test_parse_rational_refuses_an_exponent_above_the_digit_limit():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orthoconv.exactnum import exact_sqrt
+from orthoconv.exactnum import exact_sqrt, parse_rational
 from orthoconv.info import (
     CoefficientSeq, PointSet, cantor_info_fn, cantor_points, dyadic_floor,
     dyadic_halffloor, floor_pow2, info_fn, is_triadic_fn, is_type_level,
     tail_set, type_level_representation,
 )
-from orthoconv.stepfn import StepFunction
+from orthoconv.stepfn import StepFunction, lattice_of
 
 
 def test_tail_set_thirds():
@@ -97,6 +97,31 @@ tiny_sequences = st.one_of(
         CoefficientSeq),
     st.lists(st.one_of(st.just(0), tiny.map(abs)), min_size=1, max_size=8).map(
         CoefficientSeq.from_squares))
+
+
+def oracle_squares(coeffs):
+    """(den, nums) of the squares as built before they came from the small
+    reduced values: the coefficients on their lattice, then squared."""
+    den, nums = lattice_of([parse_rational(c) for c in coeffs])
+    return den * den, [n * n for n in nums]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(coefficients, st.lists(tiny, min_size=1, max_size=8)))
+def test_squares_match_the_squared_lattice_oracle(coeffs):
+    seq = CoefficientSeq(coeffs)
+    assert (seq.den, list(seq.nums)) == oracle_squares(coeffs)
+
+
+def test_harmonic_squares_match_the_oracle_and_keep_their_numerators():
+    # 1/n: a lattice that grows with the length; every reduced numerator
+    # is 1, so the gcd is 1 and normalizing keeps the squares' numerators
+    coeffs = ["1/%d" % n for n in range(1, 301)]
+    seq = CoefficientSeq(coeffs)
+    assert (seq.den, list(seq.nums)) == oracle_squares(coeffs)
+    norm = seq.normalized()
+    assert norm.nums is seq.nums
+    assert (norm.den, list(norm.nums)) == oracle_normalized(seq)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orthoconv.exactnum import exact_sqrt
+from orthoconv.exactnum import exact_sqrt, format_rational
 from orthoconv.stepfn import (
-    StepFunction, _Levels, clip_min, cond_norm, grid_size,
+    StepFunction, _Levels, clip_min, cond_norm, format_lattice, grid_size,
     pointwise, pos_part,
 )
 
@@ -475,3 +475,20 @@ def test_levels_match_fraction_comparisons(base, k, n, sign, offset, strict):
     while (ratio > base ** 2 ** (want + 1)) if strict else (ratio >= base ** 2 ** (want + 1)):
         want += 1
     assert _Levels(base)(n, den, strict) == want
+
+
+# -- printing a lattice ----------------------------------------------------
+
+@given(st.integers(min_value=1, max_value=2 ** 300),
+       st.lists(st.integers(min_value=0, max_value=2 ** 300), max_size=40),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_format_lattice_matches_format_rational(den, nums, data):
+    # g == 1, g == den (the integer points, 0 among them), and many
+    # distinct g: multiples of the divisors of a smooth den
+    if data.draw(st.booleans()):
+        den = math.factorial(data.draw(st.integers(1, 60)))
+        nums = [n * math.gcd(den, d) for n, d in zip(nums, data.draw(
+            st.lists(st.integers(1, den), min_size=len(nums), max_size=len(nums))))]
+    nums = nums + [0, den, 2 * den, 1]
+    assert format_lattice(den, nums) == [format_rational(F(n, den)) for n in nums]
