@@ -71,7 +71,8 @@ def _read_values(path: str, key: str, noun: str) -> list:
     if not text.startswith(("[", "{")):
         return [v for v in map(str.strip, text.splitlines()) if v]
     try:
-        data = json.loads(text)
+        # an integer literal is read as a string value is, digit limit included
+        data = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
     if isinstance(data, dict):
@@ -81,6 +82,18 @@ def _read_values(path: str, key: str, noun: str) -> list:
     if not isinstance(data, list):
         raise ValueError("%s must be a JSON list" % key)
     return data
+
+
+def _json_int(text: str) -> int:
+    return parse_rational(text).numerator
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag value; argparse's refusal echoes it through ``echo``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %s" % echo(text)) from None
 
 
 def _printable(text: str):
@@ -277,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orthoconv",
         description="information-function calculus for orthogonal series")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_int_flag, default=0,
                         help="seed echoed into reports and used by "
                              "randomized suites")
     common.add_argument("--out", default="-", help="output path (default stdout)")
@@ -292,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("construct", parents=[common], help="family dump or divergent process")
     mode = pc.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--k", type=int, help="generator-family depth")
+    mode.add_argument("--k", type=_int_flag, help="generator-family depth")
     mode.add_argument("--b", help="comma-separated triadic point set")
-    mode.add_argument("--grid", type=int, help="full grid at level %s" % GRID_LEVELS)
+    mode.add_argument("--grid", type=_int_flag, help="full grid at level %s" % GRID_LEVELS)
     pc.add_argument("--y", action="append", default=None,
                     help="report threshold (repeatable)")
     pc.add_argument("--full", action="store_true",
@@ -304,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", parents=[common], help="run verification suites")
     pv.add_argument("--suite", action="append", choices=sorted(SUITES), metavar="SUITE",
                     help="suite name, one of %(choices)s (repeatable; default all)")
-    pv.add_argument("--count", type=int, default=None,
+    pv.add_argument("--count", type=_int_flag, default=None,
                     help="instance count of each suite, except %s, which run "
                          "a fixed set" % ", ".join(FIXED_SUITES))
     pv.set_defaults(fn=cmd_verify)
@@ -313,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--t", default="0", help="time point")
     pk.add_argument("--window", action="append", default=None,
                     help="half-width (repeatable)")
-    pk.add_argument("--depth", type=int, action="append", default=None,
+    pk.add_argument("--depth", type=_int_flag, action="append", default=None,
                     help="truncation depth (repeatable)")
     pk.set_defaults(fn=cmd_cantor)
 

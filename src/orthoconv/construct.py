@@ -50,7 +50,6 @@ __all__ = [
     "bernstein_check",
     "ComplexityCert",
     "trivial_cert",
-    "grid_cert",
     "merge",
     "nest",
     "corollary_union",
@@ -264,12 +263,11 @@ class ComplexityCert:
     y_sq: the square of the certified threshold gain y >= 0, exact in a
     multiquadratic field (``merge`` takes y = sqrt(sum y_l**2), which
     may lie outside it); thresholds are compared by their squares, and
-    :attr:`y` is the root itself.  eps is the nominal failure fraction
-    carried by the combination rules, kept for reporting only --
-    verification always measures the achieved failure exactly.
+    :attr:`y` is the root itself.  A challenge measures the failure
+    fraction it achieves exactly.
     """
 
-    def __init__(self, B: PointSet, intervals, y_sq, eps, kind, builder, y=None):
+    def __init__(self, B: PointSet, intervals, y_sq, kind, builder, y=None):
         raw = sorted((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
         for (l1, h1), (l2, h2) in zip(raw, raw[1:]):
             if h1 > l2:
@@ -288,7 +286,6 @@ class ComplexityCert:
         self.intervals = tuple(ivs)
         self.y_sq = y_sq
         self._y = y
-        self.eps = eps
         self.kind = kind
         self._builder = builder
 
@@ -313,8 +310,7 @@ class ComplexityCert:
             alloc = IdAllocator.after(chi)
         a, b = Fraction(a), Fraction(b)
         vectors = self._builder(a, b, chi, alloc)
-        return OrthoProcess(list(vectors), vectors, mode="simple",
-                            carrier=self.intervals)
+        return OrthoProcess(list(vectors), vectors, self.intervals)
 
     def verify_challenge(self, a, b, chi: OrthoVector) -> dict:
         """Direct evaluation of all certificate conditions on one challenge;
@@ -336,7 +332,6 @@ class ComplexityCert:
             report["maximal_function"] = m
             report["good_measure"] = good
             report["achieved_eps"] = float((w - good) / w)
-            report["nominal_eps"] = self.eps
         return report
 
 
@@ -376,27 +371,7 @@ def trivial_cert(B: PointSet, lo, hi) -> ComplexityCert:
             vectors[pts[r + 1]] = acc
         return vectors
 
-    return ComplexityCert(B, [(lo, hi)], ZERO, None, "trivial", build, y=ZERO)
-
-
-def grid_cert(B: PointSet, lo, hi, k: int) -> ComplexityCert:
-    """Certificate from a full depth-k grid inside [lo, hi]: the depth-k
-    nest of the zero-threshold bridges over its 3**k cells (for k = 0,
-    the one bridge over [lo, hi]).
-
-    Requires {lo + m (hi-lo) 3**-k} a subset of B.  Threshold
-    y = 4 k sqrt(hi - lo); nominal failure fraction e**(-k/144) (for
-    small k the recorded achieved failure exceeds it -- the nominal value
-    is asymptotic and reported, never asserted).
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    cell = (hi - lo) / 3 ** k
-    grid = [lo + m * cell for m in range(3 ** k + 1)]
-    for g in grid:
-        if g not in B:
-            raise ValueError("grid point %s missing from the time set" % g)
-    bridges = [trivial_cert(B, g0, g1) for g0, g1 in zip(grid, grid[1:])]
-    return nest(k, bridges) if k else bridges[0]
+    return ComplexityCert(B, [(lo, hi)], ZERO, "trivial", build, y=ZERO)
 
 
 def _rationalize_ratios(ratios):
@@ -415,22 +390,17 @@ def _rationalize_ratios(ratios):
 def merge(certs) -> ComplexityCert:
     """Disjoint-union combination of certificates.
 
-    The union keeps the worst nominal failure fraction and reaches
-    y = sqrt(sum y_l**2).  A challenge window splits proportionally to
-    the y_l**2 among the positive-threshold parts (zero-threshold parts
-    are challenged with an empty window; their witnesses carry no body);
-    the challenge vector decomposes along an exact orthonormal family
-    weighted by sqrt(measure_l / measure).
+    The union reaches y = sqrt(sum y_l**2).  A challenge window splits
+    proportionally to the y_l**2 among the positive-threshold parts
+    (zero-threshold parts are challenged with an empty window; their
+    witnesses carry no body); the challenge vector decomposes along an
+    exact orthonormal family weighted by sqrt(measure_l / measure).
     """
     certs = list(certs)
     if not certs:
         raise ValueError("nothing to merge")
     intervals = [iv for c in certs for iv in c.intervals]
     y_sq = sum((c.y_sq for c in certs), start=ZERO)
-    eps = None
-    for c in certs:
-        if c.eps is not None:
-            eps = c.eps if eps is None else max(eps, c.eps)
     total_measure = sum((c.measure for c in certs), start=ZERO)
 
     def build(a, b, chi, alloc):
@@ -463,7 +433,7 @@ def merge(certs) -> ComplexityCert:
             vectors[t] = acc
         return vectors
 
-    return ComplexityCert(certs[0].B, intervals, y_sq, eps, "merge", build)
+    return ComplexityCert(certs[0].B, intervals, y_sq, "merge", build)
 
 
 def _last_time_leq(times, t):
@@ -478,10 +448,9 @@ def nest(k: int, sub_certs) -> ComplexityCert:
     disjoint interiors; the combination weakens every sub-threshold to
     the common minimum y and reaches
 
-        y' = 3**(k/2) y + 4 k sqrt(measure of the union),
+        y' = 3**(k/2) y + 4 k sqrt(measure of the union).
 
-    with the nominal failure fraction growing by e**(-k/144).  The
-    witness lays the depth-k family over the window and hands the n-th
+    The witness lays the depth-k family over the window and hands the n-th
     sub-certificate the n-th window cell with challenge vector
     phi_n / ||phi_n||.
     """
@@ -505,8 +474,6 @@ def nest(k: int, sub_certs) -> ComplexityCert:
         if c.y_sq < low.y_sq:
             low = c
     y_out = exact_sqrt(3 ** k) * low.y + 4 * k * exact_sqrt(3 ** k * eta)
-    eps_children = [c.eps for c in sub_certs if c.eps is not None]
-    eps = (max(eps_children) if eps_children else 0.0) + math.exp(-k / 144.0)
 
     def build(a, b, chi, alloc):
         w = b - a
@@ -529,7 +496,7 @@ def nest(k: int, sub_certs) -> ComplexityCert:
             acc = acc + fam[pos]
         return vectors
 
-    return ComplexityCert(sub_certs[0].B, ivs_sorted, y_out * y_out, eps, "nest[k=%d]" % k,
+    return ComplexityCert(sub_certs[0].B, ivs_sorted, y_out * y_out, "nest[k=%d]" % k,
                           build, y=y_out)
 
 

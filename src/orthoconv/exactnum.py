@@ -1,14 +1,16 @@
 """Exact numbers: the value types of the package and their helpers.
 
-Values carried by step functions and L2 vectors are one of
+Values come in two regimes that do not mix:
 
-* ``int`` / ``fractions.Fraction`` -- exact rationals (the fast path),
-* :class:`RootSum` -- exact irrationals of a multiquadratic field, such
-  as sqrt(3)/9 or 1 + sqrt(2)/2: everything the constructions make,
-* ``float`` -- when an operation left the exact world.
+* exact -- ``int`` and ``fractions.Fraction`` rationals, and
+  :class:`RootSum` irrationals of a multiquadratic field, such as
+  sqrt(3)/9 or 1 + sqrt(2)/2: everything the constructions make;
+* float -- the V calculus, and the figures a report rounds.
 
-Python's own operators compare and combine all four exactly, so callers
-use ``==``, ``<=``, ``<`` and ``float()`` directly.  This module adds
+Python's own operators compare and combine exact values exactly, so
+callers use ``==``, ``<=``, ``<`` and ``float()`` directly.  A RootSum
+refuses a float operand with ``TypeError``; ``float()`` crosses from the
+exact regime on purpose.  This module adds
 exact square roots, rational parsing and formatting, and the JSON form
 of values.  It needs no other package: the ``"sym:"`` text of irrational
 values is sympy's ``srepr`` form, written and read here.
@@ -216,9 +218,10 @@ class RootSum:
     their maps are, and a RootSum is never zero.
 
     ``+ - * /`` with ints, Fractions and RootSums stay exact (the inverse
-    multiplies by conjugates, one prime at a time); with a float the
-    result is a float.  Signs come from a float evaluation, or exactly
-    from squares when that is too close to call.  ``float()`` is
+    multiplies by conjugates, one prime at a time); a float operand, in
+    arithmetic or in an order comparison, raises TypeError, and a
+    RootSum never equals one.  Signs come from a float evaluation, or
+    exactly from squares when that is too close to call.  ``float()`` is
     correctly rounded.  ``_sympy_`` is sympy's conversion hook, so
     ``sympy.sympify`` takes a RootSum; the package itself never calls it.
     """
@@ -244,7 +247,7 @@ class RootSum:
     def __add__(self, other):
         o = self._other_terms(other)
         if o is None:
-            return float(self) + other if type(other) is float else NotImplemented
+            return NotImplemented
         return _from_terms(_add_terms(self.terms, o))
 
     __radd__ = __add__
@@ -252,13 +255,13 @@ class RootSum:
     def __sub__(self, other):
         o = self._other_terms(other)
         if o is None:
-            return float(self) - other if type(other) is float else NotImplemented
+            return NotImplemented
         return _from_terms(_add_terms(self.terms, o, -1))
 
     def __rsub__(self, other):
         o = self._other_terms(other)
         if o is None:
-            return other - float(self) if type(other) is float else NotImplemented
+            return NotImplemented
         return _from_terms(_add_terms(o, self.terms, -1))
 
     def __mul__(self, other):
@@ -269,8 +272,6 @@ class RootSum:
             return RootSum._new({d: q * other for d, q in self.terms.items()})
         if t is RootSum:
             return _from_terms(_mul_terms(self.terms, other.terms))
-        if t is float:
-            return float(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -291,16 +292,12 @@ class RootSum:
             return RootSum._new({d: q / other for d, q in self.terms.items()})
         if t is RootSum:
             return self * other._inverse()
-        if t is float:
-            return float(self) / other
         return NotImplemented
 
     def __rtruediv__(self, other):
         t = type(other)
         if t is int or t is Fraction:
             return self._inverse() * other
-        if t is float:
-            return other / float(self)
         return NotImplemented
 
     def __neg__(self):
@@ -316,12 +313,6 @@ class RootSum:
 
     def _cmp(self, other):
         """sign(self - other), or None for an operand of another kind."""
-        if type(other) is float:
-            if other != other:
-                return None
-            if math.isinf(other):
-                return -1 if other > 0 else 1
-            other = Fraction(other)
         o = self._other_terms(other)
         if o is None:
             return None
@@ -436,13 +427,11 @@ def exact_sqrt(x):
     """Square root preserving exactness.
 
     Rationals that are perfect squares stay rational, other rationals and
-    field elements give a field element; floats stay floats.  Raises
-    ValueError for a negative value, and for a field element whose root
-    lies outside every multiquadratic field; TypeError for any other type.
+    field elements give a field element.  Raises ValueError for a negative
+    value, and for a field element whose root lies outside every
+    multiquadratic field; TypeError for any other type, a float included.
     """
     t = type(x)
-    if t is float:
-        return math.sqrt(x)
     if t is not RootSum and not isinstance(x, _RATIONALS):
         raise TypeError("no exact square root of a %s" % t.__name__)
     r = _root_of(x)
@@ -472,11 +461,11 @@ def sqrt_float(x) -> float:
 
 def floor_log2(x) -> int:
     """The j with 2**j <= x < 2**(j+1), decided exactly, for a finite
-    int, Fraction or float x > 0 or a RootSum x >= 1; ValueError else.
+    int, Fraction or float x > 0; ValueError else.
 
     A Fraction n/d lies within a factor 2 of 2**j, j the difference of
     the bit lengths of n and d: one shifted comparison decides between j
-    and j - 1.  A RootSum has the level of its floor.
+    and j - 1.
     """
     t = type(x)
     if t is int and x > 0:
@@ -487,8 +476,6 @@ def floor_log2(x) -> int:
         n, d = x.numerator, x.denominator
         j = n.bit_length() - d.bit_length()
         return j if (n >= d << j if j >= 0 else n << -j >= d) else j - 1
-    if t is RootSum and x >= 1:
-        return math.floor(x).bit_length() - 1
     raise ValueError("no dyadic level of %r" % (x,))
 
 
@@ -534,8 +521,9 @@ def parse_rational(s) -> Fraction:
     a zero denominator or an infinite float included.  A decimal exponent
     whose absolute value is above Python's digit limit for integer strings
     (``sys.get_int_max_str_digits()``, no limit when 0) is refused too:
-    its power of ten would take minutes to build.  A message shows the
-    value through :func:`echo`.
+    its power of ten would take minutes to build.  So is a text whose
+    numerator, denominator or decimal digits run past that limit.  A
+    message shows the value through :func:`echo`.
     """
     if isinstance(s, Fraction):
         return s
@@ -545,7 +533,14 @@ def parse_rational(s) -> Fraction:
         text = s
     else:
         text = str(s).strip()
-        if text.isascii():
+        if "e" in text or "E" in text:
+            limit = sys.get_int_max_str_digits()
+            exp = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+            if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) > limit):
+                raise ValueError("%s has a decimal exponent above %d, Python's limit "
+                                 "for integer strings" % (echo(s), limit))
+    try:
+        if type(text) is str and text.isascii():
             # ASCII digits, or ASCII digits "/" ASCII digits, read as two
             # ints; every other form goes through Fraction's parser
             num, slash, den = text.partition("/")
@@ -554,20 +549,15 @@ def parse_rational(s) -> Fraction:
                 d = int(den) if slash else 1
                 if d:
                     return Fraction(n, d)
-        if "e" in text or "E" in text:
-            limit = sys.get_int_max_str_digits()
-            exp = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
-            if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) > limit):
-                raise ValueError("%s has a decimal exponent above %d, Python's limit "
-                                 "for integer strings" % (echo(s), limit))
-    try:
         return Fraction(text)
     except (ZeroDivisionError, OverflowError):
         raise ValueError("%s is not a finite rational" % echo(s)) from None
     except ValueError as e:
         if str(e).startswith("Invalid literal"):  # Fraction's message, capped
             raise ValueError("Invalid literal for Fraction: %s" % echo(text)) from None
-        raise
+        # int() refused a run of digits past Python's limit for integer strings
+        raise ValueError("%s has more than %d digits, Python's limit for integer "
+                         "strings" % (echo(s), sys.get_int_max_str_digits())) from None
 
 
 def format_rational(fr: Fraction) -> str:

@@ -10,9 +10,8 @@ norm and inner product includes the external part.  Gram matrices of
 exact vectors come from one integer kernel, :func:`gram_matrix`.
 
 An :class:`OrthoProcess` maps the points of a time set to vectors with
-prescribed increment norms: ``unit`` scaling means
-||X(t)-X(s)||**2 = t-s, ``simple`` scaling means
-||X(t)-X(s)||**2 = 3*24**2 * lambda([s,t] cap D) over a carrier D.
+the increment norms ||X(t)-X(s)||**2 = 3*24**2 * lambda([s,t] cap D) over
+a carrier D (the ``simple`` scaling of the constructions).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .exactnum import _from_int_terms, _key_product, _terms_of, exact_sqrt, value_to_json
+from .exactnum import _from_int_terms, _key_product, _terms_of, value_to_json
 from .info import PointSet
 from .stepfn import StepFunction, grid_size, grid_width
 
@@ -133,14 +132,12 @@ class OrthoVector:
 
 
 class OrthoProcess:
-    """Vectors indexed by the points of a time set.
-
-    mode 'unit':   ||X(t)-X(s)||**2 = t - s,
-    mode 'simple': ||X(t)-X(s)||**2 = SIMPLE_FACTOR * lambda([s,t] cap D),
-    with D a finite union of closed intervals given as (lo, hi) pairs.
+    """Vectors indexed by the points of a time set, with
+    ||X(t)-X(s)||**2 = SIMPLE_FACTOR * lambda([s,t] cap D), D the carrier:
+    a finite union of closed intervals given as (lo, hi) pairs.
     """
 
-    def __init__(self, times, vectors: dict, mode: str = "unit", carrier=None):
+    def __init__(self, times, vectors: dict, carrier):
         self.times = tuple(sorted(Fraction(t) for t in times))
         if not self.times:
             raise ValueError("a process needs at least one time point")
@@ -148,14 +145,7 @@ class OrthoProcess:
         for t in self.times:
             if t not in self.vectors:
                 raise ValueError("missing vector at time %s" % t)
-        if mode not in ("unit", "simple"):
-            raise ValueError("mode must be 'unit' or 'simple'")
-        self.mode = mode
-        self.carrier = tuple((Fraction(a), Fraction(b)) for a, b in carrier) \
-            if carrier else ((self.times[0], self.times[-1]),)
-
-    def __getitem__(self, t):
-        return self.vectors[Fraction(t)]
+        self.carrier = tuple((Fraction(a), Fraction(b)) for a, b in carrier)
 
     def carrier_measure_between(self, s, t):
         s, t = Fraction(s), Fraction(t)
@@ -169,23 +159,11 @@ class OrthoProcess:
         return total
 
     def expected_increment_sq(self, s, t):
-        if self.mode == "unit":
-            return abs(Fraction(t) - Fraction(s))
         return SIMPLE_FACTOR * self.carrier_measure_between(s, t)
-
-    def to_unit(self) -> "OrthoProcess":
-        """Rescale a simple process to unit increments (divide by 24 sqrt 3)."""
-        if self.mode == "unit":
-            return self
-        factor = 1 / (24 * exact_sqrt(3))
-        out = OrthoProcess(self.times,
-                           {t: self.vectors[t] * factor for t in self.times},
-                           mode="unit", carrier=self.carrier)
-        return out
 
     def to_json(self):
         return {
-            "mode": self.mode,
+            "mode": "simple",  # the one scaling, named as the reports always have
             "carrier": [[str(a), str(b)] for a, b in self.carrier],
             "times": [str(t) for t in self.times],
             "vectors": {str(t): self.vectors[t].to_json() for t in self.times},
@@ -204,9 +182,8 @@ def gram_matrix(vectors):
     product of the two components plus D times the dot product of their
     external maps, all in units of 1/(Q*Q*D).  The body integral of u*v is
     the sum over v's breakpoints of the prefix integral of u times the jump
-    of v there.  One Fraction (or RootSum) is built per entry.  A list
-    holding any other value, such as a float, is computed pairwise with
-    ``OrthoVector.inner``, which fixes how floats round.
+    of v there.  One Fraction (or RootSum) is built per entry.  Any other
+    value, such as a float, raises TypeError before the first row.
     """
     vectors = list(vectors)
     bodies, exts = [], []
@@ -214,9 +191,7 @@ def gram_matrix(vectors):
         body = [_terms_of(a) for a in v.body.values]
         ext = [(i, _terms_of(c)) for i, c in v.ext.items()]
         if any(p is None for p in body) or any(p is None for _, p in ext):
-            for i, u in enumerate(vectors):
-                yield [u.inner(w) for w in vectors[i:]]
-            return
+            raise TypeError("gram_matrix takes int, Fraction and RootSum values only")
         bodies.append(body)
         exts.append(ext)
     D = math.lcm(*(v.body.den for v in vectors))
@@ -288,11 +263,11 @@ def gram_check(X: OrthoProcess):
     """Largest deviation |  ||X(t)-X(s)||**2 - expected  | over all pairs.
 
     Exact zero is achievable (and asserted in tests) for constructed
-    processes; returns the deviation as an exact number when possible
-    (the Fraction 0 when every pair matches).  The squared increment norm
+    processes; returns the deviation as an exact number (the Fraction 0
+    when every pair matches).  The squared increment norm
     is G[k][k] + G[i][i] - 2 G[i][k] from the Gram matrix of the process,
     which for exact vectors is the value of the pairwise difference, and
-    the expected value is additive in time in both modes.
+    the expected value is additive in time.
     """
     worst = ZERO
     ts = X.times

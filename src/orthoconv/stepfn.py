@@ -150,6 +150,8 @@ def _weighted_sum(terms, den):
     rounded), instead of a reduced Fraction.  Rational weights only: one
     Fraction over the lcm of their denominators, the same value.  Int,
     Fraction and float weights: integer divisions, no Fraction per term.
+    With a RootSum weight the sum is exact, and a float among them raises
+    TypeError.
     """
     terms = list(terms)
     types = {type(w) for w, _ in terms}
@@ -179,7 +181,7 @@ def _weighted_sum(terms, den):
         return total
     total = ZERO
     for w, n in terms:
-        total = total + (w * (n / den) if type(w) is float else w * Fraction(n, den))
+        total = total + w * Fraction(n, den)
     return total
 
 
@@ -214,8 +216,9 @@ class StepFunction:
     breakpoints: strictly increasing Fractions in (0,1], last equal to 1;
     held as integer numerators over one reduced denominator (see the
     module docstring).
-    values: one per piece; ints, Fractions, floats or ``exactnum.RootSum``
-    field elements.
+    values: one per piece; ints, Fractions and ``exactnum.RootSum`` field
+    elements (exact), or ints, Fractions and floats.  A RootSum meets a
+    float in no operation: that raises TypeError.
     Adjacent pieces with equal values are merged on construction, so two
     equal functions always have identical representations.
     """

@@ -679,23 +679,25 @@ def suite_process_gram(seed=0):
 
 def suite_cell_oscillation_bound(seed=0):
     """Per-cell oscillation of built processes against the barred
-    composition tails, factor 3, at the implementable levels."""
+    composition tails, factor 3, at the implementable levels; a built
+    process is read at unit increments, its squared norms divided by
+    SIMPLE_FACTOR."""
     from .construct import build_divergent
-    from .ortho import m_grid
+    from .ortho import SIMPLE_FACTOR, m_grid
     viol = 0
     cases = [PointSet([Fraction(n, 9) for n in range(10)]),
              PointSet([0, Fraction(1, 81), Fraction(2, 81), Fraction(3, 81),
                        Fraction(1, 9), Fraction(1, 3), Fraction(2, 3), 1])]
     for B in cases:
         out = build_divergent(B)
-        X = out["report"]["process"].to_unit()
+        X = out["report"]["process"]
         h = info_fn(B, base=3).maximum(1)
         i = stabilization_level(h)
         for j in range(0, i + 1):
             tail = pos_part(v_composite(h, j, i, bar=True).final, Fraction(2) ** j)
             w = grid_width(j)
             for n, _body, nsq in m_grid(X, B, j):
-                lhs = math.sqrt(float(nsq))
+                lhs = math.sqrt(float(nsq / SIMPLE_FACTOR))
                 rhs = 3 * math.sqrt(float(
                     tail.restrict(n * w, (n + 1) * w).integral_sq()))
                 if lhs > rhs + TOL:

@@ -11,16 +11,26 @@ integer strings, which ``parse_rational`` enforces.  The information
 function of an ``analyze`` file stays far below 2**25, the size from
 which the V trace's top grid grows out of reach: a tail-set point with
 more than the limit's digits is refused before the trace.
+
+Seeded ``random_triadic_set`` draws up to level 2 build through
+``construct --b --y`` and pass every exact check of the build.  An
+integer with more digits than Python reads, sent to every entry point,
+ends in one short line: a ``data error:`` naming it for a value, and
+argparse's refusal, capped, for an integer flag.
 """
 
 import json
+import random
 import sys
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from orthoconv.cli import main
+from orthoconv.exactnum import format_rational
+from orthoconv.suites import random_triadic_set
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -100,3 +110,54 @@ def test_construct_strings_end_in_a_report_or_an_exit_code(capsys, points, ys):
 def test_cantor_strings_end_in_a_report_or_an_exit_code(capsys, t, windows):
     assert_handled(["cantor", "--depth", "4", "--t=" + t]
                    + ["--window=" + w for w in windows], capsys)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_seeded_triadic_sets_build_and_pass_their_checks(tmp_path_factory, seed, level, pairs):
+    B = random_triadic_set(random.Random(seed), level, pairs)
+    out = tmp_path_factory.mktemp("build") / "report.json"
+    argv = ["construct", "--b", ",".join(map(format_rational, B.points)),
+            "--y", "1", "--y", "7/2", "--out", str(out)]
+    assert main(argv) == 0
+    rep = json.loads(out.read_text())
+    assert rep["gram_deviation"] == "0"
+    assert rep["final_value_ok"] is True and rep["membership_ok"] is True
+
+
+# more digits than Python reads into an int from a string
+LONG = "1" * (LIMIT + 700)
+
+
+@pytest.mark.parametrize("command, text", [
+    (command, text) for command in ("analyze", "measure")
+    for text in ('["%s"]' % LONG, "[%s]" % LONG, LONG + "\n")])
+def test_a_long_integer_in_a_file_is_named(tmp_path, capsys, command, text):
+    src = tmp_path / "in.txt"
+    src.write_text(text, encoding="utf-8")
+    assert main([command, str(src), "--out", "/dev/null"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("data error: '111") and len(line) <= 200
+    assert line.endswith("(%d characters) has more than %d digits, Python's limit "
+                         "for integer strings" % (len(LONG), LIMIT))
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--b", "0,1/3,2/3," + LONG], ["construct", "--grid", "0", "--y", LONG],
+    ["cantor", "--t", LONG], ["cantor", "--window", LONG]])
+def test_a_long_integer_flag_value_is_named(capsys, argv):
+    assert main(argv + ["--out", "/dev/null"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("data error: '111") and len(line) <= 200
+    assert "has more than %d digits, Python's limit for integer strings" % LIMIT in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--k", LONG], ["construct", "--grid", LONG],
+    ["construct", "--grid", "0", "--seed", LONG], ["verify", "--count", LONG],
+    ["cantor", "--depth", LONG]])
+def test_a_long_integer_flag_is_refused_in_short_lines(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "invalid int value: '111" in err and "(%d characters)" % len(LONG) in err
+    assert all(len(line) <= 200 for line in err.splitlines())

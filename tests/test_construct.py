@@ -9,7 +9,7 @@ import sympy
 from orthoconv.construct import (
     ComplexityCert, TernaryContext, bernstein_check, build_divergent,
     corollary_equal_blocks, corollary_union, digit_sum_fn, divergent_prefix,
-    grid_cert, hat_residue, householder_family, merge, nest,
+    hat_residue, householder_family, merge, nest,
     phi_family, split_increment, trivial_cert,
 )
 from orthoconv.info import PointSet
@@ -202,6 +202,16 @@ def test_trivial_cert_empty_window():
     assert all(X.vectors[t].body == StepFunction.constant(0) for t in X.times)
 
 
+def grid_cert(B, lo, hi, k):
+    """Certificate from a full depth-k grid inside [lo, hi]: the depth-k nest
+    of the zero-threshold bridges over its 3**k cells (for k = 0, the one
+    bridge over [lo, hi]), with threshold y = 4 k sqrt(hi - lo)."""
+    lo, hi = F(lo), F(hi)
+    grid = [lo + m * (hi - lo) / 3 ** k for m in range(3 ** k + 1)]
+    bridges = [trivial_cert(B, g0, g1) for g0, g1 in zip(grid, grid[1:])]
+    return nest(k, bridges) if k else bridges[0]
+
+
 def test_grid_cert_k1():
     B = PointSet([0, F(1, 3), F(2, 3), 1])
     cert = grid_cert(B, 0, 1, 1)
@@ -212,12 +222,13 @@ def test_grid_cert_k1():
     assert rep["good_measure"] == F(1, 3)
     assert rep["achieved_eps"] == pytest.approx(2 / 3)
     # the achieved failure measure even satisfies the asymptotic bound here
-    assert rep["achieved_eps"] <= rep["nominal_eps"]
+    assert rep["achieved_eps"] <= math.exp(-1 / 144)
 
 
 def test_grid_cert_requires_grid_points():
+    # the bridge over a missing grid point has an endpoint outside B
     B = PointSet([0, F(1, 3), 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="carrier endpoints must lie in the time set"):
         grid_cert(B, 0, 1, 1)
 
 
@@ -231,7 +242,7 @@ def test_grid_cert_refines_extra_points():
 
 
 def ref_grid_cert(B, lo, hi, k):
-    """grid_cert with its own witness builder, before it became the depth-k
+    """A grid certificate with its own witness builder, not the depth-k
     nest of the bridges over its cells: the family is laid over the window
     and each cell's increment is split at the points of B inside it."""
     lo, hi = F(lo), F(hi)
@@ -269,8 +280,8 @@ def ref_grid_cert(B, lo, hi, k):
         vectors[grid[-1]] = acc
         return vectors
 
-    return ComplexityCert(B, [(lo, hi)], 16 * k * k * length, math.exp(-k / 144.0),
-                          "grid[k=%d]" % k, build, y=4 * k * exact_sqrt(length))
+    return ComplexityCert(B, [(lo, hi)], 16 * k * k * length, "grid[k=%d]" % k, build,
+                          y=4 * k * exact_sqrt(length))
 
 
 def _same_value(a, b):
@@ -284,8 +295,7 @@ def _witness_json(cert, a, b, chi):
 
 def test_grid_cert_is_the_nest_of_its_bridges():
     # witnesses (times, bodies, external coordinates and their ids), y,
-    # y_sq, carriers and nominal eps match the builder of its own; at k = 0
-    # the bridge has no nominal eps where the builder reported a vacuous 1.0
+    # y_sq and carriers match the builder of its own
     def grid(lo, hi, k, extra):
         cell = (hi - lo) / 3 ** k
         return PointSet([0, 1] + [lo + m * cell for m in range(3 ** k + 1)] + extra)
@@ -301,7 +311,6 @@ def test_grid_cert_is_the_nest_of_its_bridges():
         got, want = grid_cert(B, lo, hi, k), ref_grid_cert(B, lo, hi, k)
         assert _same_value(got.y, want.y) and _same_value(got.y_sq, want.y_sq)
         assert got.intervals == want.intervals
-        assert got.eps == (want.eps if k else None)
         for chi in (unit_chi(0), unit_chi(5)):
             for a, b in windows + ([(F(1, 2), F(1, 2))] if k == 0 else []):
                 assert _witness_json(got, a, b, chi) == _witness_json(want, a, b, chi)
@@ -309,7 +318,7 @@ def test_grid_cert_is_the_nest_of_its_bridges():
     B = PointSet([F(n, 6) for n in range(7)] + [F(1, 12)])
     got = merge([grid_cert(B, 0, F(1, 2), 1), grid_cert(B, F(1, 2), 1, 1)])
     want = merge([ref_grid_cert(B, 0, F(1, 2), 1), ref_grid_cert(B, F(1, 2), 1, 1)])
-    assert _same_value(got.y_sq, want.y_sq) and got.eps == want.eps
+    assert _same_value(got.y_sq, want.y_sq)
     for a, b in windows:
         assert _witness_json(got, a, b, unit_chi(5)) == _witness_json(want, a, b, unit_chi(5))
 

@@ -165,9 +165,25 @@ def test_square_roots():
     assert r.terms == {3 * (2 ** 31 - 1): 12} and r * r == n
     with pytest.raises(ValueError):
         exact_sqrt(2 ** 61 - 1)  # squarefree part not provable by trial division
-    assert exact_sqrt(2.25) == 1.5
+    with pytest.raises(TypeError):
+        exact_sqrt(2.25)  # a float has no exact root
     with pytest.raises(TypeError):
         exact_sqrt(sympy.sqrt(2))  # the package makes no sympy values
+
+
+@pytest.mark.parametrize("f", [0.5, -2.0, 0.0, math.inf, math.nan])
+def test_rootsum_refuses_float_operands(f):
+    # a float never meets a field value: arithmetic and order raise
+    # TypeError, and equality is False
+    x = 1 + exact_sqrt(2)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b, lambda a, b: a < b, lambda a, b: a <= b,
+               lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(TypeError):
+            op(x, f)
+        with pytest.raises(TypeError):
+            op(f, x)
+    assert x != f and f != x and not x == f
 
 
 def test_json_reads_only_multiquadratic_sym_text():
@@ -281,8 +297,8 @@ def test_parse_rational_refuses_non_finite_input():
 def fraction_oracle(text):
     """What ``Fraction`` gives for the stripped text through parse_rational's
     refusals: the value, or the error type and message, with a zero
-    denominator read as not finite and a long invalid literal echoed by its
-    first characters."""
+    denominator read as not finite, a long invalid literal echoed by its
+    first characters, and Python's digit limit named with the text."""
     try:
         return F(text.strip())
     except ZeroDivisionError:
@@ -290,7 +306,9 @@ def fraction_oracle(text):
     except ValueError as e:
         if str(e).startswith("Invalid literal"):
             return ValueError, "Invalid literal for Fraction: %s" % echo(text.strip())
-        return ValueError, str(e)
+        assert str(e).startswith("Exceeds the limit")
+        return ValueError, ("%s has more than %d digits, Python's limit for integer strings"
+                            % (echo(text), sys.get_int_max_str_digits()))
 
 
 def _parsed(text):
@@ -357,19 +375,25 @@ def test_parse_rational_refuses_an_exponent_above_the_digit_limit():
 
 # -- the fused inner product -------------------------------------------------
 
-FIELD_VALUES = [0, 1, 2, -1, F(1, 3), F(-2, 3), 0.0, 0.5, 0.1, -0.3, 1.0,
-                exact_sqrt(2), -exact_sqrt(2), exact_sqrt(3) / 9, 1 + exact_sqrt(6)]
-inner_values = st.one_of(st.sampled_from(FIELD_VALUES),
-                         st.floats(min_value=-5, max_value=5, allow_nan=False),
-                         st.fractions(min_value=-5, max_value=5, max_denominator=30))
+# the two regimes, which never meet in one function: exact values (ints,
+# Fractions and field elements) and float values (ints, Fractions and floats)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+exact_values = st.one_of(
+    st.sampled_from([0, 1, 2, -1, F(1, 3), F(-2, 3), exact_sqrt(2), -exact_sqrt(2),
+                     exact_sqrt(3) / 9, 1 + exact_sqrt(6)]),
+    rationals)
+float_values = st.one_of(
+    st.sampled_from([0, 1, 2, -1, F(1, 3), F(-2, 3), 0.0, 0.5, 0.1, -0.3, 1.0]),
+    st.floats(min_value=-5, max_value=5, allow_nan=False),
+    rationals)
 
 
 @st.composite
-def functions(draw):
+def functions(draw, values):
     den = draw(st.sampled_from([2, 3, 6, 9, 27, 81, 2 ** 61 - 1]))
     nums = sorted(set(draw(st.lists(st.integers(1, den - 1), max_size=8))) | {den})
     return StepFunction.from_lattice(den, nums, draw(
-        st.lists(inner_values, min_size=len(nums), max_size=len(nums))))
+        st.lists(values, min_size=len(nums), max_size=len(nums))))
 
 
 def same_value(a, b):
@@ -412,9 +436,11 @@ def ref_inner(f, g):
     return _weighted_sum(terms, den)
 
 
-@given(functions(), functions())
+@given(st.sampled_from([exact_values, float_values]).flatmap(
+    lambda values: st.tuples(functions(values), functions(values))))
 @settings(max_examples=300, deadline=None)
-def test_fused_inner_is_product_integral(f, g):
+def test_fused_inner_is_product_integral(fg):
+    f, g = fg
     for a, b in ((f, g), (f, f)):
         want = ref_inner(a, b)
         assert same_value(a.inner(b), want)
@@ -443,24 +469,18 @@ positive_floats = st.one_of(
     st.floats(min_value=0, exclude_min=True, allow_infinity=False, allow_nan=False),
     st.integers(1, 2 ** 52 - 1).map(lambda m: m * 2.0 ** -1074),  # subnormals
     st.integers(-1074, 1023).map(lambda e: 2.0 ** e))
-# RootSums >= 1: within 2**-200 of a power of two, or 1 + |a|
-roots_ge_one = st.one_of(
-    st.builds(lambda j, s, q, d: 2 ** j + s * F(1, 2 ** 200 * q) * exact_sqrt(d),
-              st.integers(1, 1100), st.sampled_from([1, -1]), st.integers(1, 2 ** 30),
-              st.sampled_from([2, 3, 5, 6])),
-    elements().map(lambda a: 1 + abs(a[0])))
-
-
 @given(st.one_of(st.integers(1, 2 ** 1200), near_powers,
                  st.fractions(min_value=0, max_value=10 ** 6).filter(lambda x: x > 0),
-                 positive_floats, roots_ge_one))
+                 positive_floats))
 @settings(max_examples=300, deadline=None)
 def test_floor_log2_matches_fraction_comparisons(x):
     assert floor_log2(x) == oracle_floor_log2(x)
 
 
 @pytest.mark.parametrize("x", [0, -1, F(0), F(-1, 2), 0.0, -0.5, math.inf, math.nan,
-                               exact_sqrt(2) - 1, True])
+                               exact_sqrt(2) - 1, True,
+                               # levels are decided for rationals and floats only
+                               1 + exact_sqrt(2), 2 ** 1100 + exact_sqrt(3)])
 def test_floor_log2_refuses_values_without_a_level(x):
     with pytest.raises(ValueError):
         floor_log2(x)

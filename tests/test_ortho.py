@@ -12,7 +12,7 @@ from orthoconv.cli import main
 from orthoconv.exactnum import RootSum, exact_sqrt
 from orthoconv.info import PointSet
 from orthoconv.ortho import (
-    IdAllocator, OrthoProcess, OrthoVector, ProductProcess,
+    SIMPLE_FACTOR, IdAllocator, OrthoProcess, OrthoVector, ProductProcess,
     gram_check, gram_matrix, m_grid, maximal_function, menshov_bound_check,
 )
 from orthoconv.stepfn import StepFunction
@@ -41,24 +41,28 @@ def test_basis_allocator():
     assert alloc.fresh() == 7
 
 
+# a unit vector times SCALE has squared norm SIMPLE_FACTOR
+SCALE = 24 * exact_sqrt(3)
+UNIT = [(0, 1)]  # the carrier [0, 1]
+
+
 def test_unit_process_gram():
     e1, e2 = OrthoVector.basis(0), OrthoVector.basis(1)
-    half = exact_sqrt(F(1, 2))
+    half = SCALE * exact_sqrt(F(1, 2))
     X = OrthoProcess(
         [0, F(1, 2), 1],
-        {F(0): OrthoVector(), F(1, 2): half * e1, F(1): half * e1 + half * e2},
-        mode="unit")
+        {F(0): OrthoVector(), F(1, 2): half * e1, F(1): half * e1 + half * e2}, UNIT)
     assert gram_check(X) == 0
 
 
 def test_gram_detects_corruption():
     e1 = OrthoVector.basis(0)
-    X = OrthoProcess([0, 1], {F(0): OrthoVector(), F(1): 2 * e1}, mode="unit")
-    assert float(gram_check(X)) == pytest.approx(3.0)
+    X = OrthoProcess([0, 1], {F(0): OrthoVector(), F(1): 2 * SCALE * e1}, UNIT)
+    assert gram_check(X) == 3 * SIMPLE_FACTOR
 
 
 def test_single_point_process():
-    X = OrthoProcess([0], {F(0): OrthoVector()}, mode="unit")
+    X = OrthoProcess([0], {F(0): OrthoVector()}, [(0, 0)])
     assert gram_check(X) == 0
     assert maximal_function(X) == StepFunction.constant(0)
 
@@ -71,7 +75,7 @@ def test_simple_process_phi_k1_exact():
     for m, u in enumerate(fam):
         acc = acc + u
         vecs[F(m + 1, 3)] = acc
-    X = OrthoProcess(list(vecs), vecs, mode="simple", carrier=[(F(0), F(1))])
+    X = OrthoProcess(list(vecs), vecs, UNIT)
     assert gram_check(X) == 0
     m = maximal_function(X)
     assert m == StepFunction.indicator(F(1, 3), F(2, 3), value=24)
@@ -86,7 +90,7 @@ def test_maximal_function_k2_binomial():
     for m, u in enumerate(fam):
         acc = acc + u
         vecs[F(m + 1, 9)] = acc
-    X = OrthoProcess(list(vecs), vecs, mode="unit")
+    X = OrthoProcess(list(vecs), vecs, UNIT)
     m = maximal_function(X)
     # digit-sum levels: measure(max >= 1) = P(Bin(2,1/3) >= 1) = 5/9
     assert m.measure_ge(1) == F(5, 9)
@@ -97,13 +101,12 @@ def test_maximal_function_disjoint_supports_max_of_maxima():
     a = OrthoVector(StepFunction.indicator(0, F(1, 2), value=3))
     b = OrthoVector(StepFunction.indicator(F(1, 2), 1, value=5))
     X = OrthoProcess([0, F(1, 2), 1],
-                     {F(0): OrthoVector(), F(1, 2): a, F(1): a + b},
-                     mode="unit")
+                     {F(0): OrthoVector(), F(1, 2): a, F(1): a + b}, UNIT)
     m = maximal_function(X)
     assert m == maximal_function(
-        OrthoProcess([0, F(1, 2)], {F(0): OrthoVector(), F(1, 2): a}, mode="unit")
+        OrthoProcess([0, F(1, 2)], {F(0): OrthoVector(), F(1, 2): a}, [(0, F(1, 2))])
     ).maximum(maximal_function(
-        OrthoProcess([0, 1], {F(0): OrthoVector(), F(1): b}, mode="unit")))
+        OrthoProcess([0, 1], {F(0): OrthoVector(), F(1): b}, UNIT)))
 
 
 def test_menshov_single_vector():
@@ -145,14 +148,14 @@ def test_menshov_families():
 def test_m_grid_constant_cell_is_zero():
     B = PointSet([0, F(1, 3), F(2, 3), 1])
     vec = OrthoVector.basis(0)
-    third = exact_sqrt(F(1, 3))
+    third = SCALE * exact_sqrt(F(1, 3))
     X = OrthoProcess(
         [0, F(1, 3), F(2, 3), 1],
         {F(0): OrthoVector(),
          F(1, 3): vec * third,
          F(2, 3): vec * third + OrthoVector.basis(1) * third,
          F(1): vec * third + OrthoVector.basis(1) * third + OrthoVector.basis(2) * third},
-        mode="unit")
+        UNIT)
     # no interior points: every cell is skipped
     assert m_grid(X, B, 0) == []
 
@@ -160,7 +163,7 @@ def test_m_grid_constant_cell_is_zero():
 def test_m_grid_requires_interior_points():
     B = PointSet([0, F(1, 9), F(1, 3), F(2, 3), 1])
     out = build_divergent(B)
-    X = out["report"]["process"].to_unit()
+    X = out["report"]["process"]
     cells = m_grid(X, B, 0)
     assert [n for n, _, _ in cells] == [0]  # only the first cell has 1/9 inside
 
@@ -183,7 +186,7 @@ def test_glue_blocks_single_block_degenerate():
     for m, u in enumerate(fam):
         acc = acc + u
         vecs[F(m + 1, 3)] = acc
-    X = OrthoProcess(list(vecs), vecs, mode="unit")
+    X = OrthoProcess(list(vecs), vecs, UNIT)
     pp = ProductProcess([maximal_function(X)], [1, 0])
     u, per = pp.oscillation_exceedance(1)
     assert per == [F(1, 3)]
@@ -198,7 +201,7 @@ def test_glue_blocks_two_independent_copies():
         for m, u in enumerate(fam):
             acc = acc + u
             vecs[F(m + 1, 3)] = acc
-        return OrthoProcess(list(vecs), vecs, mode="unit")
+        return OrthoProcess(list(vecs), vecs, UNIT)
 
     pp = ProductProcess([maximal_function(mk()), maximal_function(mk())], [1, F(1, 2), 0])
     union, per = pp.oscillation_exceedance(1)
@@ -219,11 +222,12 @@ def test_glue_blocks_budget_and_empty():
 R2, R3, R6 = exact_sqrt(2), exact_sqrt(3), exact_sqrt(6)
 EXACT_VALUES = [0, 1, -2, F(1, 3), F(-5, 7), R2, -R3 / 9, R6 / 4,
                 1 + R2, F(1, 2) - R3 + R6, R2 + R3 / 5, 2 * R6 - F(3, 11)]
-FLOAT_VALUES = [0.0, 0.5, -0.3, 1e-3]
+# the float pool: rationals and floats, the values of the V calculus
+FLOAT_VALUES = [0, 1, F(1, 3), 0.0, 0.5, -0.3, 1e-3]
 
 
 def values(exact):
-    pool = EXACT_VALUES if exact else EXACT_VALUES + FLOAT_VALUES
+    pool = EXACT_VALUES if exact else FLOAT_VALUES
     return st.one_of(st.sampled_from(pool),
                      st.fractions(min_value=-9, max_value=9, max_denominator=40))
 
@@ -239,19 +243,13 @@ def vectors(draw, exact):
     return OrthoVector(body, ext)
 
 
-@st.composite
-def vector_lists(draw):
-    exact = draw(st.booleans()) or draw(st.booleans())  # floats in 1 of 4 lists
-    return draw(st.lists(vectors(exact), max_size=6))
-
-
 def same_value(a, b):
     if type(a) is not type(b):
         return False
     return a.hex() == b.hex() if type(a) is float else a == b
 
 
-@given(vector_lists())
+@given(st.lists(vectors(exact=True), max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_gram_matrix_matches_pairwise_inner(vecs):
     rows = list(gram_matrix(vecs))
@@ -260,6 +258,30 @@ def test_gram_matrix_matches_pairwise_inner(vecs):
         assert len(row) == len(vecs) - i
         for j, g in enumerate(row, i):
             assert same_value(g, vecs[i].inner(vecs[j])), (i, j)
+
+
+@given(st.lists(vectors(exact=False), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_gram_matrix_refuses_floats_that_inner_takes(vecs):
+    # the float regime keeps its pairwise oracle, OrthoVector.inner; the
+    # Gram kernel takes a list without floats and refuses one with any
+    pairwise = [[u.inner(w) for w in vecs[i:]] for i, u in enumerate(vecs)]
+    if any(type(a) is float for v in vecs
+           for a in list(v.body.values) + list(v.ext.values())):
+        with pytest.raises(TypeError):
+            next(gram_matrix(vecs))
+    else:
+        rows = list(gram_matrix(vecs))
+        assert all(same_value(g, p) for row, prow in zip(rows, pairwise)
+                   for g, p in zip(row, prow))
+
+
+def test_gram_matrix_refuses_a_float_among_field_values():
+    u = OrthoVector(StepFunction.constant(R2), {1: 0.5})
+    with pytest.raises(TypeError):
+        list(gram_matrix([u]))
+    with pytest.raises(TypeError):
+        u.norm_sq()
 
 
 def test_gram_matrix_key_products_and_external_scale():
@@ -299,13 +321,14 @@ def pairwise_gram_check(X):
 
 
 def _family_process(k):
-    # increments of squared norm 3**-k: bodies in Q(sqrt 3), a rational chi part
+    # increments of squared norm SIMPLE_FACTOR * 3**-k: rational bodies, a
+    # chi part in Q(sqrt 3)
     acc = OrthoVector()
     vecs = {F(0): OrthoVector()}
-    for m, u in enumerate(phi_family(k, OrthoVector.basis(0), scale=1 / R3)):
+    for m, u in enumerate(phi_family(k, OrthoVector.basis(0), scale=24)):
         acc = acc + u
         vecs[F(m + 1, 3 ** k)] = acc
-    return OrthoProcess(list(vecs), vecs, mode="unit")
+    return OrthoProcess(list(vecs), vecs, UNIT)
 
 
 PROCESSES = ("k1", "k2", "mixed")
@@ -317,11 +340,10 @@ def _process(name):
         B = PointSet([0, F(1, 81), F(2, 81), F(3, 81), F(1, 9), F(1, 3), F(2, 3), 1])
         return build_divergent(B)["report"]["process"]
     if name == "carrier":
-        # simple scaling over a two-piece carrier that starts after the
-        # first time: the Gram check is far from 0 on every pair
+        # a two-piece carrier that starts after the first time: the Gram
+        # check is far from 0 on every pair
         X = _family_process(2)
-        return OrthoProcess(X.times, X.vectors, mode="simple",
-                            carrier=[(F(1, 9), F(1, 3)), (F(1, 2), F(8, 9))])
+        return OrthoProcess(X.times, X.vectors, [(F(1, 9), F(1, 3)), (F(1, 2), F(8, 9))])
     return _family_process(int(name[1:]))
 
 
@@ -339,7 +361,7 @@ def test_gram_check_matches_pairwise_on_perturbed_process(name, data):
     bump = data.draw(vectors(exact=True))
     vecs = dict(X.vectors)
     vecs[t] = vecs[t] + bump
-    Y = OrthoProcess(X.times, vecs, mode=X.mode, carrier=X.carrier)
+    Y = OrthoProcess(X.times, vecs, X.carrier)
     got, want = gram_check(Y), pairwise_gram_check(Y)
     assert type(got) is type(want) and got == want
 
@@ -352,7 +374,7 @@ def test_gram_check_perturbed_by_fresh_coordinate(name):
     vecs = dict(X.vectors)
     t = X.times[len(X.times) // 2]
     vecs[t] = vecs[t] + c * OrthoVector.basis(IdAllocator.after(*vecs.values()).fresh())
-    Y = OrthoProcess(X.times, vecs, mode=X.mode, carrier=X.carrier)
+    Y = OrthoProcess(X.times, vecs, X.carrier)
     assert gram_check(Y) == pairwise_gram_check(Y) == c * c
     assert type(gram_check(Y)) is RootSum
 

@@ -121,9 +121,6 @@ stabilization_values = st.one_of(
               st.integers(1, 2 ** 30)),
     st.fractions(min_value=0, max_value=10 ** 6),
     st.floats(min_value=0, max_value=2.0 ** 1000),
-    st.builds(lambda j, s, q, d: 2 ** j + s * F(1, 2 ** 200 * q) * exact_sqrt(d),
-              st.integers(0, 1000), st.sampled_from([1, -1]), st.integers(1, 2 ** 30),
-              st.sampled_from([2, 3, 5, 6])),
 )
 
 
@@ -133,6 +130,13 @@ def test_stabilization_level_matches_float_log_version(a, b):
     # the level is decided on the larger of two pieces, of any two value types
     h = StepFunction([F(1, 3), F(1)], [a, b])
     assert stabilization_level(h) == float_log_stabilization_level(h)
+
+
+def test_stabilization_level_refuses_field_values_above_one():
+    # levels are decided for rationals and floats; a field value at most 1 needs none
+    with pytest.raises(ValueError):
+        stabilization_level(StepFunction.constant(2 + exact_sqrt(2)))
+    assert stabilization_level(StepFunction.constant(exact_sqrt(2) - 1)) == 0
 
 
 def test_stabilization_level_beyond_the_float_range():
@@ -290,14 +294,19 @@ def outcome(fn, *args, **kwargs):
 
 
 SQRT2, SQRT3 = exact_sqrt(2), exact_sqrt(3)
-v_values = st.one_of(
+v_rationals = st.one_of(
     st.integers(min_value=0, max_value=20),
     st.fractions(min_value=0, max_value=20, max_denominator=64),
-    st.floats(min_value=0, max_value=20, allow_nan=False),
+)
+# the two regimes, which never meet in one function: field values with
+# rationals, and floats with rationals
+exact_v_values = st.one_of(
+    v_rationals,
     st.builds(lambda a, b: a + b * SQRT2,
               st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=5)),
     st.integers(min_value=0, max_value=9).map(lambda k: k * SQRT3 / 2),
 )
+float_v_values = st.one_of(v_rationals, st.floats(min_value=0, max_value=20, allow_nan=False))
 # breakpoints on triadic lattices, where cells hold one value, and on others
 v_breakpoints = st.one_of(
     st.integers(min_value=1, max_value=80).map(lambda n: F(n, 81)),
@@ -315,7 +324,8 @@ def v_step_functions(draw, vals):
     v_step_functions(st.integers(min_value=0, max_value=20)),
     v_step_functions(st.fractions(min_value=0, max_value=20, max_denominator=64)),
     v_step_functions(st.floats(min_value=0, max_value=20, allow_nan=False)),
-    v_step_functions(v_values)),
+    v_step_functions(exact_v_values),
+    v_step_functions(float_v_values)),
     st.integers(min_value=0, max_value=4))
 @settings(max_examples=200, deadline=None)
 def test_int_threshold_matches_fraction_threshold(h, j):
