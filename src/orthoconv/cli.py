@@ -44,10 +44,15 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ASSERT = 3
 
-# cantor --depth budget: the Cantor truncation has 2**(depth+1) points;
-# depth 18 takes about 4 s and 66 MB on a 2-core x86 VM, and the cost
-# grows two- to threefold per level
+# cantor --depth budget: the depth-d truncation has 2**(d+1) points, and a
+# trace builds those in its widest window.  At depth 20 the whole interval
+# takes about 3.1 s and 284 MB on a 2-core x86 VM, a 1/81 window 0.25 s
+# and 33 MB; the cost doubles per level
 CANTOR_MAX_DEPTH = 20
+
+# verify --count budget: at 500 the slowest suite, cantor_tail, takes about
+# 8 s on a 2-core x86 VM and every other suite at most 2.2 s
+VERIFY_MAX_COUNT = 500
 
 # the levels of ``construct --grid`` as text, "0, 1 or 2"
 GRID_LEVELS = "%s or %d" % (", ".join(map(str, range(BUILD_MAX_LEVEL))), BUILD_MAX_LEVEL)
@@ -247,6 +252,8 @@ def cmd_construct(args):
 def cmd_verify(args):
     if args.count is not None and args.count <= 0:
         raise UsageError("--count must be positive")
+    if args.count is not None and args.count > VERIFY_MAX_COUNT:
+        raise BudgetError("--count must be at most %d" % VERIFY_MAX_COUNT)
     out = run_suites(args.suite, seed=args.seed, count=args.count)
     out["command"] = "verify"
     out["flags"] = {"seed": args.seed, "count": args.count,
@@ -318,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", action="append", choices=sorted(SUITES), metavar="SUITE",
                     help="suite name, one of %(choices)s (repeatable; default all)")
     pv.add_argument("--count", type=_int_flag, default=None,
-                    help="instance count of each suite, except %s, which run "
-                         "a fixed set" % ", ".join(FIXED_SUITES))
+                    help="instance count of each suite, 1 to %d, except %s, which "
+                         "run a fixed set" % (VERIFY_MAX_COUNT, ", ".join(FIXED_SUITES)))
     pv.set_defaults(fn=cmd_verify)
 
     pk = sub.add_parser("cantor", parents=[common], help="window traces for the Cantor set")

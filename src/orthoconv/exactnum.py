@@ -514,14 +514,34 @@ def echo(value) -> str:
     return "%s... (%d characters)" % (r[:ECHO_CHARS], n)
 
 
+def _exponent_above_limit(text: str) -> bool:
+    """Whether text is a literal that Fraction reads, with a decimal
+    exponent whose absolute value is above Python's digit limit for
+    integer strings.  The literal is checked with each run of exponent
+    digits cut to one 0, so no power of ten is built."""
+    limit = sys.get_int_max_str_digits()
+    i = max(text.rfind("e"), text.rfind("E"))
+    if not limit or i < 0:
+        return False
+    exp = text[i + 1:]
+    digits = exp.lstrip("+-").replace("_", "").lstrip("0")
+    if not (digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit)):
+        return False
+    try:
+        Fraction(text[:i + 1] + re.sub(r"\d+", "0", exp))
+    except ValueError:
+        return False
+    return True
+
+
 def parse_rational(s) -> Fraction:
     """Parse 'p/q', decimal strings, ints or floats into an exact Fraction.
 
     Raises ValueError for anything that is not a finite rational, a bool,
-    a zero denominator or an infinite float included.  A decimal exponent
-    whose absolute value is above Python's digit limit for integer strings
-    (``sys.get_int_max_str_digits()``, no limit when 0) is refused too:
-    its power of ten would take minutes to build.  So is a text whose
+    a zero denominator or an infinite float included.  A literal whose
+    decimal exponent has an absolute value above Python's digit limit for
+    integer strings (``sys.get_int_max_str_digits()``, no limit when 0)
+    is refused too: its power of ten would take minutes to build.  So is a text whose
     numerator, denominator or decimal digits run past that limit.  A
     message shows the value through :func:`echo`.
     """
@@ -533,12 +553,9 @@ def parse_rational(s) -> Fraction:
         text = s
     else:
         text = str(s).strip()
-        if "e" in text or "E" in text:
-            limit = sys.get_int_max_str_digits()
-            exp = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
-            if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) > limit):
-                raise ValueError("%s has a decimal exponent above %d, Python's limit "
-                                 "for integer strings" % (echo(s), limit))
+        if ("e" in text or "E" in text) and _exponent_above_limit(text):
+            raise ValueError("%s has a decimal exponent above %d, Python's limit "
+                             "for integer strings" % (echo(s), sys.get_int_max_str_digits()))
     try:
         if type(text) is str and text.isascii():
             # ASCII digits, or ASCII digits "/" ASCII digits, read as two

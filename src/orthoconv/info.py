@@ -327,34 +327,79 @@ def info_fn(B: PointSet, base: int = 3) -> StepFunction:
     return StepFunction.from_lattice(den, nums[1:], vals)
 
 
-def cantor_points(depth: int) -> PointSet:
-    """Endpoints of the depth-d middle-thirds construction."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    # left ends of the surviving intervals, in units of 3**-depth
-    den = 3 ** depth
-    width = den
+def _cantor_lefts(depth: int, lat: int, lo: int = 0, hi=None) -> list:
+    """Left ends of the depth-d Cantor intervals that meet [lo, hi], with
+    the nearest interval on each side; every interval when hi is None.
+    Points are numerators over lat, a multiple of 3**depth.
+
+    Generation by generation, the children of the kept intervals are cut
+    to the run that meets the window and one interval beyond it on each
+    side: the run stays contiguous, so the gaps between kept intervals
+    are the true gaps, and the ones that lo and hi cut are whole.
+    """
+    width = lat
     lefts = [0]
     for _ in range(depth):
         width //= 3
         lefts = [x for a in lefts for x in (a, a + 2 * width)]
-    # width is 1 now, so the lattice is reduced
-    return PointSet.from_lattice(den, [x for a in lefts for x in (a, a + width)])
+        if hi is not None:
+            # [x, x + width] meets [lo, hi] when x + width >= lo and x <= hi
+            i = bisect.bisect_left(lefts, lo - width)
+            j = bisect.bisect_right(lefts, hi)
+            lefts = lefts[max(i - 1, 0):j + 1]
+    return lefts
 
 
-def cantor_info_fn(depth: int) -> StepFunction:
-    """Depth-d truncation of the Cantor-set information function.
+def cantor_points(depth: int) -> PointSet:
+    """Endpoints of the depth-d middle-thirds construction."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    # the intervals have width 1 on the 3**depth lattice, so it is reduced
+    den = 3 ** depth
+    return PointSet.from_lattice(den, [x for a in _cantor_lefts(depth, den)
+                                       for x in (a, a + 1)])
+
+
+def cantor_info_fn(depth: int, lo=0, hi=1) -> StepFunction:
+    """Depth-d truncation of the Cantor-set information function, times
+    the indicator of (lo, hi].
 
     Value m on each removed middle third of generation m <= depth, and
     d on the 2**d surviving intervals (standing in for all the deeper,
-    larger values).  On the 3**d lattice a gap of width 3**(d-m) carries
-    the value m, so the values come from a table of d+1 widths.
+    larger values).  A gap of generation m is 3**(d-m) surviving widths
+    wide, so the values come from a table of d+1 widths.
+    Only the intervals that meet [lo, hi], and the nearest one on each
+    side, are built (see ``_cantor_lefts``), so the cost grows with the
+    pieces in the window; the whole interval (0, 1] walks every piece.
+    The result is ``cantor_info_fn(depth).restrict(lo, hi)``, built on
+    the lattice lcm(3**d, lo.den, hi.den).
     """
-    B = cantor_points(depth)
-    value = {3 ** (depth - m): m for m in range(depth + 1)}
-    nums = B.nums
-    return StepFunction.from_lattice(B.den, nums[1:],
-                                     [value[b - a] for a, b in zip(nums, nums[1:])])
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not ZERO <= lo < hi <= ONE:
+        raise ValueError("need 0 <= lo < hi <= 1")
+    lat = math.lcm(3 ** depth, lo.denominator, hi.denominator)
+    a = lo.numerator * (lat // lo.denominator)
+    b = hi.numerator * (lat // hi.denominator)
+    keep = () if (a, b) == (0, lat) else (a, b)  # () walks every interval
+    s = lat // 3 ** depth  # the width of a surviving interval
+    pts = [x for c in _cantor_lefts(depth, lat, *keep) for x in (c, c + s)]
+    value = {s * 3 ** (depth - m): m for m in range(depth + 1)}
+    # the kept points reach from at most a to at least b: the pieces that
+    # end at pts[i..j-1], and the one cut by b, meet (a, b]
+    i = bisect.bisect_right(pts, a)
+    j = bisect.bisect_left(pts, b)
+    nums = pts[i:j + 1]
+    vals = [value[q - p] for p, q in zip(pts[i - 1:j], nums)]
+    nums[-1] = b
+    if a:
+        nums.insert(0, a)
+        vals.insert(0, 0)
+    if b < lat:
+        nums.append(lat)
+        vals.append(0)
+    return StepFunction.from_lattice(lat, nums, vals)
 
 
 def floor_pow2(a):

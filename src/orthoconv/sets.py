@@ -266,18 +266,20 @@ def continuity_verdict(B, t, window_sizes, depths=None) -> dict:
     if any(w <= 0 for w in windows):
         raise ValueError("window half-widths must be positive")
     if isinstance(B, str) and B == "cantor":
-        hs = [cantor_info_fn(d) for d in depths or [4, 6, 8]]
+        # every window is centred at t, so the widest holds the others
+        wide = _window(t, max(windows, default=ONE))
+        hs = [cantor_info_fn(d, *wide) for d in depths or [4, 6, 8]]
     else:
         if t not in B:
             raise ValueError("the time point must belong to the set")
+        wide = (ZERO, ONE)
         hs = [info_fn(B, base=3)]
     out = {"t": str(t), "windows": []}
     for wsize in windows:
-        lo = max(ZERO, t - wsize)
-        hi = min(ONE, t + wsize)
+        lo, hi = _window(t, wsize)
         trace = []
         for h in hs:
-            hw = h.restrict(lo, hi) if (lo, hi) != (ZERO, ONE) else h
+            hw = h if (lo, hi) == wide else h.restrict(lo, hi)
             hw = hw.maximum(StepFunction.indicator(lo, hi)) if lo < hi else hw
             val, _ = v_functional(hw)
             trace.append(val)
@@ -287,6 +289,11 @@ def continuity_verdict(B, t, window_sizes, depths=None) -> dict:
             "stabilized": _trace_stabilized(trace),
         })
     return out
+
+
+def _window(t: Fraction, wsize: Fraction) -> tuple:
+    """[t - wsize, t + wsize] cut to [0, 1]."""
+    return max(ZERO, t - wsize), min(ONE, t + wsize)
 
 
 def _trace_stabilized(trace) -> bool:

@@ -576,6 +576,34 @@ def test_verify_nonpositive_count_is_usage_error(count, capsys):
     assert len(err) == 1 and err[0].startswith("usage error:")
 
 
+@pytest.mark.parametrize("count", ["501", "2000", "20000", "1" * 100])
+def test_verify_count_above_the_budget_is_budget_error(count, capsys, monkeypatch):
+    # refused before any suite runs: --count 2000 of digit_tail_bound ran 18 s
+    import orthoconv.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("no suite may run")
+
+    monkeypatch.setattr(cli, "run_suites", never)
+    assert run_cli(["verify", "--suite", "digit_tail_bound", "--count", count]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["budget error: --count must be at most %d" % cli.VERIFY_MAX_COUNT]
+
+
+def test_verify_count_at_the_budget_runs(tmp_path, monkeypatch):
+    import orthoconv.cli as cli
+    counts = []
+
+    def run(names, seed, count):
+        counts.append(count)
+        return {"seed": seed, "results": [], "passed": True}
+
+    monkeypatch.setattr(cli, "run_suites", run)
+    assert run_cli(["verify", "--suite", "sandwich", "--count", str(cli.VERIFY_MAX_COUNT),
+                    "--out", str(tmp_path / "v.json")]) == 0
+    assert counts == [cli.VERIFY_MAX_COUNT]
+
+
 @pytest.mark.parametrize("signed, moduli", [
     (["-1"], ["1"]),
     (["-1/2", "1/2", "1/2", "1/2"], ["1/2", "1/2", "1/2", "1/2"]),
@@ -826,3 +854,27 @@ def test_analyze_report_matches_recorded_bytes(name, indicator, tmp_path):
     got = out.read_text().replace(json.dumps(src), json.dumps("IN"))
     with open(os.path.join(DATA, "%s_%s.report.json" % (name, indicator)), encoding="utf-8") as fh:
         assert got == fh.read()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("window9", ["--t", "2/9", "--window", "1/9", "--depth", "10", "--depth", "11",
+                 "--depth", "12", "--depth", "13", "--depth", "14"]),
+    ("window81", ["--t", "20/27", "--window", "1/81", "--depth", "10", "--depth", "11",
+                  "--depth", "12", "--depth", "13", "--depth", "14"]),
+    ("default_window", ["--t", "1/3", "--depth", "12", "--depth", "14"]),
+    ("defaults", []),
+    ("gap", ["--t", "1/2", "--window", "1/10", "--depth", "8", "--depth", "12"]),
+    ("wide", ["--t", "1/3", "--window", "3/4", "--depth", "10", "--depth", "12"]),
+    ("two_windows", ["--t", "2/9", "--window", "1/9", "--window", "1/81",
+                     "--depth", "10", "--depth", "12"]),
+    ("non_triadic", ["--t", "1/7", "--window", "1/1000", "--depth", "12", "--depth", "14"]),
+])
+def test_cantor_report_matches_recorded_bytes(name, argv, tmp_path):
+    # reports recorded from the whole-set builder: the benchmark's two
+    # window sizes at depths 10-14, the default window and the defaults, a
+    # window inside the gap (1/3, 2/3), a half-width above 1/2, two windows
+    # in one call and a window off the triadic lattice
+    out = tmp_path / "r.json"
+    assert run_cli(["cantor"] + argv + ["--out", str(out)]) == 0
+    with open(os.path.join(DATA, "cantor_%s.report.json" % name), "rb") as fh:
+        assert out.read_bytes() == fh.read()

@@ -1,6 +1,7 @@
 """Exact multiquadratic numbers (RootSum) against a sympy oracle."""
 
 import math
+import re
 import sys
 import time
 from fractions import Fraction as F
@@ -298,7 +299,19 @@ def fraction_oracle(text):
     """What ``Fraction`` gives for the stripped text through parse_rational's
     refusals: the value, or the error type and message, with a zero
     denominator read as not finite, a long invalid literal echoed by its
-    first characters, and Python's digit limit named with the text."""
+    first characters, Python's digit limit named with the text, and a
+    literal whose decimal exponent is above that limit refused before its
+    power of ten is built."""
+    limit = sys.get_int_max_str_digits()
+    m = re.fullmatch(r"(.*)e[-+]?(\d+(?:_\d+)*)", text.strip(), re.DOTALL | re.IGNORECASE)
+    if m and limit and int(m[2].replace("_", "")) > limit:
+        try:
+            F(m[1] + "e0")
+        except ValueError:
+            pass
+        else:
+            return ValueError, ("%s has a decimal exponent above %d, Python's limit for "
+                                "integer strings" % (echo(text), limit))
     try:
         return F(text.strip())
     except ZeroDivisionError:
@@ -371,6 +384,15 @@ def test_parse_rational_refuses_an_exponent_above_the_digit_limit():
         assert parse_rational("1e-5000") == F(1, 10 ** 5000)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("text", ["e10000", "e\u0669000", "1e_10000", "1/3e10000",
+                                  "1e+-10000", "1e10000x"])
+def test_a_non_literal_with_a_long_exponent_is_an_invalid_literal(text):
+    # the exponent refusal is for literals Fraction reads; the rest are
+    # refused as Fraction refuses them
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+        parse_rational(text)
 
 
 # -- the fused inner product -------------------------------------------------

@@ -383,6 +383,71 @@ def test_cantor_info_fn_matches_clipped_info_fn():
         assert [type(v) for v in got.values] == [type(v) for v in want.values], d
 
 
+# -- Cantor windows -----------------------------------------------------------
+# the whole-set builder that the window walk replaced, kept as the oracle
+
+
+def oracle_cantor_info_fn(depth):
+    """Every gap of the depth-d points; a gap of width 3**(d-m) carries m."""
+    B = cantor_points(depth)
+    value = {3 ** (depth - m): m for m in range(depth + 1)}
+    nums = B.nums
+    return StepFunction.from_lattice(B.den, nums[1:],
+                                     [value[b - a] for a, b in zip(nums, nums[1:])])
+
+
+def _two_distinct(rng, draw):
+    while True:
+        x, y = draw(), draw()
+        if x != y:
+            return min(x, y), max(x, y)
+
+
+def cantor_windows(depth, rng, per_kind=20):
+    """(kind, lo, hi) with 0 <= lo < hi <= 1, per_kind of each kind."""
+    pts = cantor_points(depth).points
+    ends = cantor_points(depth + 2).points
+    out = []
+    for _ in range(per_kind):
+        # inside one piece of the depth-d set: a gap or a surviving interval
+        k = rng.randrange(len(pts) - 1)
+        a, b = pts[k], pts[k + 1]
+        out.append(("one gap", *_two_distinct(
+            rng, lambda: a + (b - a) * F(rng.randint(0, 10), 10))))
+        # ends on Cantor points, of the depth-d set or two levels deeper
+        out.append(("cantor ends", *_two_distinct(rng, lambda: rng.choice(ends))))
+        den = rng.choice([7, 1000, 10, 2, 5 * 3 ** rng.randint(1, depth + 1)])
+        out.append(("non-triadic", *_two_distinct(
+            rng, lambda: F(rng.randint(0, den), den))))
+        x = F(rng.randint(1, 999), 1000)
+        out.append(("from 0", F(0), x))
+        out.append(("to 1", x, F(1)))
+    return out
+
+
+def assert_same_fn(got, want):
+    assert (got.den, got.nums, got.values) == (want.den, want.nums, want.values)
+    assert [type(v) for v in got.values] == [type(v) for v in want.values]
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_cantor_window_matches_restricted_whole_set_oracle(depth):
+    whole = oracle_cantor_info_fn(depth)
+    assert_same_fn(cantor_info_fn(depth), whole)
+    for kind, lo, hi in cantor_windows(depth, random.Random(depth)):
+        try:
+            assert_same_fn(cantor_info_fn(depth, lo, hi), whole.restrict(lo, hi))
+        except AssertionError:
+            raise AssertionError("%s window (%s, %s]" % (kind, lo, hi)) from None
+
+
+@pytest.mark.parametrize("lo, hi", [(F(1, 2), F(1, 2)), (F(2, 3), F(1, 3)),
+                                    (F(-1, 3), F(1, 3)), (F(0), F(4, 3))])
+def test_cantor_window_must_lie_in_the_unit_interval(lo, hi):
+    with pytest.raises(ValueError):
+        cantor_info_fn(4, lo, hi)
+
+
 # -- gap levels, decided by stepfn._Levels ------------------------------------
 # the two loops that is_triadic_set and generate ran before, kept as oracles
 
